@@ -136,7 +136,7 @@ main(int argc, char **argv)
             try {
                 MobiusPlan plan = planMobius(server, cost);
                 StepStats s =
-                    runMobiusStep(server, cost, plan);
+                    runMobiusStepEx(server, cost, plan).stats;
                 std::printf("checkpointing %-5s step %.2fs "
                             "(bwd/fwd compute ratio %.0f%%)\n",
                             ckpt ? "on" : "off", s.stepTime,
@@ -153,9 +153,9 @@ main(int argc, char **argv)
         Server server = makeCommodityServer({2, 2});
         Workload work(gpt15b(), server);
         for (bool sync : {true, false}) {
-            ZeroExecutorConfig cfg;
-            cfg.layerSync = sync;
-            StepStats s = runZeroStep(server, work.cost(), cfg);
+            StepRunOptions opts;
+            opts.zero.layerSync = sync;
+            StepStats s = runZeroStepEx(server, work.cost(), opts).stats;
             std::printf("layer sync %-5s step %.2fs\n",
                         sync ? "on" : "off", s.stepTime);
         }

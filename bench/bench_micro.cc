@@ -56,7 +56,7 @@ BM_MobiusStep15B(benchmark::State &state)
     Workload work(gpt15b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
     for (auto _ : state) {
-        StepStats s = runMobiusStep(server, work.cost(), plan);
+        StepStats s = runMobiusStepEx(server, work.cost(), plan).stats;
         benchmark::DoNotOptimize(s.stepTime);
     }
 }
@@ -68,7 +68,7 @@ BM_ZeroStep15B(benchmark::State &state)
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt15b(), server);
     for (auto _ : state) {
-        StepStats s = runZeroStep(server, work.cost());
+        StepStats s = runZeroStepEx(server, work.cost()).stats;
         benchmark::DoNotOptimize(s.stepTime);
     }
 }

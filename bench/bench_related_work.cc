@@ -33,7 +33,7 @@ main(int argc, char **argv)
             Workload work(cfg, server, mbs);
             MobiusPlan plan = planMobius(server, work.cost());
             StepStats mob =
-                runMobiusStep(server, work.cost(), plan);
+                runMobiusStepEx(server, work.cost(), plan).stats;
             try {
                 StepStats tp =
                     runTensorParallelStep(server, work.cost());
@@ -60,6 +60,6 @@ main(int argc, char **argv)
     }
     MobiusPlan plan51 = planMobius(server, w51.cost());
     std::printf("  51B Mobius: %.2f s per step\n",
-                runMobiusStep(server, w51.cost(), plan51).stepTime);
+                runMobiusStepEx(server, w51.cost(), plan51).stats.stepTime);
     return 0;
 }

@@ -26,7 +26,8 @@
  *   --threads worker threads for the goodput-curve sweep (0 =
  *             hardware concurrency, the default). Each (model, topo,
  *             system) curve is an independent replica dispatched
- *             through simcore/replica_runner.hh into its own slot;
+ *             through JobPump::runAll (simcore/job_pump.hh) into its
+ *             own slot;
  *             the reduction runs in curve order after the join, so
  *             the output is bit-identical at any thread count.
  *
@@ -48,7 +49,6 @@
 #include "base/args.hh"
 #include "bench_util.hh"
 #include "fault/fault_plan.hh"
-#include "simcore/replica_runner.hh"
 
 using namespace mobius;
 

@@ -40,7 +40,7 @@
  *     sum identity must hold, and tail latency must not improve.
  *
  *  5. Width determinism. The mid-load Mobius sim fanned out via
- *     runReplicas at several worker widths: every slot's request
+ *     JobPump::runAll at several worker widths: every slot's request
  *     fingerprint must be bit-identical to a serial run.
  *
  * Usage: bench_serving [--quick] [--out FILE] [--threads N] [--prof]
@@ -69,7 +69,7 @@
 #include "bench_util.hh"
 #include "model/model.hh"
 #include "serve/serve_sim.hh"
-#include "simcore/replica_runner.hh"
+#include "simcore/job_pump.hh"
 
 using namespace mobius;
 
@@ -357,15 +357,13 @@ main(int argc, char **argv)
         bool ident_ok = midFingerprint() == want;
         for (int w : widths) {
             std::vector<std::uint64_t> got(4, 0);
-            ReplicaRunnerOptions ropts;
-            ropts.threads = w;
-            runReplicas(
+            JobPump::runAll(
                 4,
                 [&](int i) {
                     got[static_cast<std::size_t>(i)] =
                         midFingerprint();
                 },
-                ropts);
+                w);
             for (std::uint64_t fp : got)
                 ident_ok = ident_ok && fp == want;
         }

@@ -9,7 +9,7 @@
  *  1. Event-queue microbenchmark. A deterministic schedule/cancel/
  *     fire churn — the transfer engine's reschedule pattern — runs
  *     on the indexed-heap EventQueue and on ReferenceEventQueue (the
- *     std::map original, frozen in event_queue_reference.hh). Both
+ *     std::map original, frozen in tests/oracles). Both
  *     drain the identical RNG-driven workload; a hash of the firing
  *     sequence (time and payload of every executed event, in order)
  *     must match exactly, which checks the tie-break contract while
@@ -26,9 +26,9 @@
  *     correctness gate.
  *
  *  3. Replica throughput. A batch of independent faulted replicas
- *     (distinct fault seeds) dispatched through runReplicas() at 1,
- *     4, and hardware-concurrency threads, reporting sims/sec at
- *     each width. Every replica's (step time, span count, failure
+ *     (distinct fault seeds) dispatched through JobPump::runAll()
+ *     at 1, 4, and hardware-concurrency threads, reporting sims/sec
+ *     at each width. Every replica's (step time, span count, failure
  *     count) triple must be bit-identical across thread counts.
  *
  * Usage: bench_simcore [--quick] [--out FILE]
@@ -57,8 +57,8 @@
 #include "base/args.hh"
 #include "bench_util.hh"
 #include "fault/fault_plan.hh"
-#include "simcore/event_queue_reference.hh"
-#include "simcore/replica_runner.hh"
+#include "oracles/event_queue_reference.hh"
+#include "simcore/job_pump.hh"
 
 using namespace mobius;
 
@@ -284,10 +284,8 @@ runBatch(int replicas, int threads, const MobiusPlan &plan)
 {
     BatchResult b;
     b.outs.resize(static_cast<std::size_t>(replicas));
-    ReplicaRunnerOptions opts;
-    opts.threads = threads;
     auto t0 = std::chrono::steady_clock::now();
-    ReplicaRunStats rs = runReplicas(
+    b.threadsUsed = JobPump::runAll(
         replicas,
         [&](int i) {
             // Each replica owns its whole simulation stack; only the
@@ -309,9 +307,8 @@ runBatch(int replicas, int threads, const MobiusPlan &plan)
             out.spans = ctx.trace().spanCount();
             out.failures = ctx.faults()->counters().failures;
         },
-        opts);
+        threads);
     auto t1 = std::chrono::steady_clock::now();
-    b.threadsUsed = rs.threadsUsed;
     b.seconds = wallSeconds(t0, t1);
     return b;
 }
@@ -392,7 +389,7 @@ main(int argc, char **argv)
 
         // --- Section 3: parallel replica throughput.
         bench::section("Simcore: faulted-replica batch via "
-                       "runReplicas()");
+                       "JobPump::runAll()");
         const int replicas = quick ? 8 : 24;
         int hw = static_cast<int>(std::thread::hardware_concurrency());
         if (hw <= 0)

@@ -5,10 +5,10 @@
  *
  * Races the current solver (bounded-variable simplex, Dantzig
  * pricing, warm-started branch-and-bound, seeded incumbent) against
- * the pre-change solver (lp_reference.hh driven by a replica of the
- * historical branch-and-bound loop) on faithful Eq. 3-11 partition
- * instances at three sizes, and emits BENCH_solver.json so the gap
- * is tracked across PRs.
+ * the pre-change solver (tests/oracles/lp_reference.hh driven by a
+ * replica of the historical branch-and-bound loop) on faithful
+ * Eq. 3-11 partition instances at three sizes, and emits
+ * BENCH_solver.json so the gap is tracked across PRs.
  *
  * Usage: bench_solver [--quick] [--out FILE]
  *
@@ -37,7 +37,7 @@
 #include "hw/server.hh"
 #include "plan/partition_algos.hh"
 #include "plan/partition_mip.hh"
-#include "solver/lp_reference.hh"
+#include "oracles/lp_reference.hh"
 
 using namespace mobius;
 

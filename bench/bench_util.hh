@@ -19,7 +19,7 @@
 #include "base/args.hh"
 #include "obs/prof.hh"
 #include "runtime/api.hh"
-#include "simcore/replica_runner.hh"
+#include "simcore/job_pump.hh"
 
 namespace mobius::bench
 {
@@ -123,24 +123,21 @@ threadsArg(const Args &args)
 }
 
 /**
- * Fan @p body over [0, count) on a runReplicas() pool of
+ * Fan @p body over [0, count) on a JobPump::runAll() pool of
  * @p threads workers and print the standard one-line width report
  * ("(N curves on T threads)"). Callers keep results in per-index
  * slots and reduce after this returns, in index order — the
- * runReplicas() determinism contract.
+ * JobPump::runAll() determinism contract.
  * @return the worker count actually used.
  */
 inline int
 runParallel(std::size_t count, int threads, const char *what,
             const std::function<void(int)> &body)
 {
-    ReplicaRunnerOptions ropts;
-    ropts.threads = threads;
-    ReplicaRunStats rstats =
-        runReplicas(static_cast<int>(count), body, ropts);
-    std::printf("  (%zu %s on %d threads)\n", count, what,
-                rstats.threadsUsed);
-    return rstats.threadsUsed;
+    const int used =
+        JobPump::runAll(static_cast<int>(count), body, threads);
+    std::printf("  (%zu %s on %d threads)\n", count, what, used);
+    return used;
 }
 
 /** Print a figure/table banner. */
@@ -170,7 +167,7 @@ runMobius(const GptConfig &cfg, const Server &server,
 {
     Workload work(cfg, server, microbatch, num_microbatches);
     MobiusPlan plan = planMobius(server, work.cost(), opts);
-    return RunResult{runMobiusStep(server, work.cost(), plan),
+    return RunResult{runMobiusStepEx(server, work.cost(), plan).stats,
                      false, ""};
 }
 
@@ -180,7 +177,7 @@ runDeepSpeed(const GptConfig &cfg, const Server &server,
              int microbatch = -1, int num_microbatches = -1)
 {
     Workload work(cfg, server, microbatch, num_microbatches);
-    return RunResult{runZeroStep(server, work.cost()), false, ""};
+    return RunResult{runZeroStepEx(server, work.cost()).stats, false, ""};
 }
 
 /** Run GPipe / DeepSpeed-pipeline; OOM becomes a marked result. */

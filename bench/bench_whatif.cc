@@ -23,9 +23,9 @@
  *   --threads worker threads for the curve sweep (0 = hardware
  *             concurrency, the default). Each (model, topo, system)
  *             curve is an independent replica dispatched through
- *             simcore/replica_runner.hh; results land in per-curve
- *             slots and are reduced in curve order, so the output is
- *             bit-identical at any thread count.
+ *             JobPump::runAll (simcore/job_pump.hh); results land in
+ *             per-curve slots and are reduced in curve order, so the
+ *             output is bit-identical at any thread count.
  *
  * Expected shape: ZeRO is bandwidth-bound (every layer's parameters
  * cross the root complex every microbatch), so its step time rises
@@ -44,7 +44,6 @@
 #include "base/args.hh"
 #include "bench_util.hh"
 #include "obs/whatif.hh"
-#include "simcore/replica_runner.hh"
 
 using namespace mobius;
 

@@ -49,17 +49,17 @@ main(int argc, char **argv)
         Server server = makeCommodityServer(groups);
         Workload work(cfg, server);
 
-        StepStats ds = runZeroStep(server, work.cost());
+        StepStats ds = runZeroStepEx(server, work.cost()).stats;
 
         PlanOptions seq;
         seq.mapping = MappingAlgo::Sequential;
         MobiusPlan seq_plan = planMobius(server, work.cost(), seq);
         StepStats mob_seq =
-            runMobiusStep(server, work.cost(), seq_plan);
+            runMobiusStepEx(server, work.cost(), seq_plan).stats;
 
         MobiusPlan cross_plan = planMobius(server, work.cost());
         StepStats mob_cross =
-            runMobiusStep(server, work.cost(), cross_plan);
+            runMobiusStepEx(server, work.cost(), cross_plan).stats;
 
         std::string name;
         for (std::size_t i = 0; i < groups.size(); ++i) {

@@ -1,5 +1,8 @@
 #include "hw/server.hh"
 
+#include <algorithm>
+#include <charconv>
+
 #include "base/logging.hh"
 
 namespace mobius
@@ -46,20 +49,24 @@ std::vector<int>
 parseTopoGroups(const std::string &topo)
 {
     std::vector<int> groups;
-    std::string cur;
-    for (char c : topo) {
-        if (c == '+') {
-            groups.push_back(std::stoi(cur));
-            cur.clear();
-        } else {
-            cur += c;
-        }
+    std::size_t start = 0;
+    for (;;) {
+        const std::size_t end =
+            std::min(topo.find('+', start), topo.size());
+        const char *first = topo.data() + start;
+        const char *last = topo.data() + end;
+        int count = 0;
+        const auto [ptr, ec] = std::from_chars(first, last, count);
+        if (first == last || *first < '0' || *first > '9' ||
+            ec != std::errc() || ptr != last)
+            fatal("cannot parse GPU topology '%s': group '%s' is not "
+                  "a GPU count",
+                  topo.c_str(), topo.substr(start, end - start).c_str());
+        groups.push_back(count);
+        if (end == topo.size())
+            return groups;
+        start = end + 1;
     }
-    if (!cur.empty())
-        groups.push_back(std::stoi(cur));
-    if (groups.empty())
-        fatal("cannot parse GPU topology '%s'", topo.c_str());
-    return groups;
 }
 
 Server

@@ -49,7 +49,11 @@ constexpr double kNvlinkPairBw = 75.0 * GB;
 Server makeCommodityServer(const std::vector<int> &groups,
                            const GpuSpec &spec = rtx3090Ti());
 
-/** Parse "4", "2+2", "1+3", "4+4" into root-complex groups. */
+/**
+ * Parse "4", "2+2", "1+3", "4+4" into root-complex groups. fatal()
+ * on an empty, non-numeric or out-of-range group ("2+", "2++2",
+ * "a+2", "2+2x").
+ */
 std::vector<int> parseTopoGroups(const std::string &topo);
 
 /** Build the data-center server of §4.8 (4x V100, NVLink, P2P). */

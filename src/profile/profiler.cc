@@ -5,6 +5,14 @@
 namespace mobius
 {
 
+namespace
+{
+
+/** Rate at which a profiled layer's weights are uploaded (B/s). */
+constexpr double kUploadBandwidth = 13.1e9;
+
+} // namespace
+
 ProfileResult
 profileModel(const CostModel &cost, const ProfilerConfig &cfg)
 {
@@ -52,7 +60,7 @@ profileModel(const CostModel &cost, const ProfilerConfig &cfg)
         // PCIe speed (prefetch disabled), then time a few fwd+bwd
         // iterations.
         double upload = static_cast<double>(p.paramBytes) /
-            cfg.uploadBandwidth;
+            kUploadBandwidth;
         result.profilingTime += upload +
             cfg.iterations * (p.fwdTime + p.bwdTime);
         ++result.profiledLayers;

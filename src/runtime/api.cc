@@ -12,6 +12,12 @@ namespace mobius
 Workload::Workload(const GptConfig &cfg, const Server &server,
                    int microbatch_size, int num_microbatches)
 {
+    if (microbatch_size != -1 && microbatch_size <= 0)
+        fatal("microbatch size must be positive or -1 (got %d)",
+              microbatch_size);
+    if (num_microbatches != -1 && num_microbatches <= 0)
+        fatal("microbatch count must be positive or -1 (got %d)",
+              num_microbatches);
     model_ = std::make_unique<ModelDesc>(makeGptModel(cfg));
     train_.microbatchSize = microbatch_size > 0
         ? microbatch_size
@@ -103,19 +109,6 @@ planMobius(const Server &server, const CostModel &cost,
     return plan;
 }
 
-StepStats
-runMobiusStep(const Server &server, const CostModel &cost,
-              const MobiusPlan &plan, MobiusExecutorConfig exec_cfg,
-              TransferEngineConfig xfer_cfg,
-              double cpu_adam_throughput)
-{
-    StepRunOptions opts;
-    opts.xfer = xfer_cfg;
-    opts.mobius = exec_cfg;
-    opts.cpuAdamThroughput = cpu_adam_throughput;
-    return runMobiusStepEx(server, cost, plan, opts).stats;
-}
-
 StepRunResult
 runMobiusStepEx(const Server &server, const CostModel &cost,
                 const MobiusPlan &plan, const StepRunOptions &opts)
@@ -131,18 +124,6 @@ runMobiusStepEx(const Server &server, const CostModel &cost,
     if (opts.traceOut)
         ctx.trace().moveInto(*opts.traceOut);
     return res;
-}
-
-StepStats
-runZeroStep(const Server &server, const CostModel &cost,
-            ZeroExecutorConfig cfg, TransferEngineConfig xfer_cfg,
-            double cpu_adam_throughput)
-{
-    StepRunOptions opts;
-    opts.xfer = xfer_cfg;
-    opts.zero = cfg;
-    opts.cpuAdamThroughput = cpu_adam_throughput;
-    return runZeroStepEx(server, cost, opts).stats;
 }
 
 StepRunResult
@@ -163,11 +144,10 @@ runZeroStepEx(const Server &server, const CostModel &cost,
 
 StepStats
 runTensorParallelStep(const Server &server, const CostModel &cost,
-                      TpExecutorConfig cfg,
                       TransferEngineConfig xfer_cfg)
 {
     RunContext ctx(server, xfer_cfg);
-    TensorParallelExecutor exec(ctx, cost, cfg);
+    TensorParallelExecutor exec(ctx, cost);
     return exec.run();
 }
 

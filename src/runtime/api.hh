@@ -7,14 +7,17 @@
  *     Server server = makeCommodityServer({2, 2});
  *     Workload work(gpt15b(), server);
  *     MobiusPlan plan = planMobius(server, work.cost());
- *     StepStats stats = runMobiusStep(server, work.cost(), plan);
+ *     StepStats stats =
+ *         runMobiusStepEx(server, work.cost(), plan).stats;
  * @endcode
  *
  * planMobius() runs the full §3 flow: profile with layer similarity,
  * solve the MIP partition, search the cross mapping; its timing
- * fields are what Fig. 12 reports. run*Step() execute one training
- * step of Mobius or a baseline on the event-driven simulator and
- * return the measurements behind Figs. 2 and 5-16.
+ * fields are what Fig. 12 reports. runMobiusStepEx(),
+ * runZeroStepEx(), runTensorParallelStep() and runPipelineStep()
+ * execute one training step of Mobius or a baseline on the
+ * event-driven simulator and return the measurements behind Figs. 2
+ * and 5-16.
  */
 
 #ifndef MOBIUS_RUNTIME_API_HH
@@ -47,6 +50,8 @@ class Workload
      * @param server            target server (GPU type, count)
      * @param microbatch_size   -1 = the config's Table 3 default
      * @param num_microbatches  -1 = one per GPU (M = N, §3.1)
+     *
+     * fatal() when either count is neither -1 nor positive.
      */
     Workload(const GptConfig &cfg, const Server &server,
              int microbatch_size = -1, int num_microbatches = -1);
@@ -116,11 +121,8 @@ MobiusPlan planMobius(const Server &server, const CostModel &cost,
                       const PlanOptions &opts = {});
 
 /**
- * Everything a single-step run can be configured with, in one
- * struct. The positional run*Step() signatures predate the fleet
- * simulator; fleet jobs need metrics and fault injection per run,
- * and threading five defaulted positionals through every call site
- * does not scale. The legacy entry points delegate here.
+ * Everything a Mobius or ZeRO step run can be configured with, in
+ * one struct; every field defaults to a clean, unrecorded run.
  */
 struct StepRunOptions
 {
@@ -156,29 +158,19 @@ struct StepRunResult
 };
 
 /**
- * Execute one Mobius step (event-driven) and return measurements.
- * @param cpu_adam_throughput CPU optimizer params/s; 0 disables the
- *        CPU-update model (the paper's measurement window).
+ * Execute one Mobius step (event-driven) and return its measurements
+ * and trace digest. The only Mobius step entry point.
  */
-StepStats runMobiusStep(const Server &server, const CostModel &cost,
-                        const MobiusPlan &plan,
-                        MobiusExecutorConfig exec_cfg = {},
-                        TransferEngineConfig xfer_cfg = {},
-                        double cpu_adam_throughput = 0.0);
-
-/** runMobiusStep() with the full option set and trace digest. */
 StepRunResult runMobiusStepEx(const Server &server,
                               const CostModel &cost,
                               const MobiusPlan &plan,
                               const StepRunOptions &opts = {});
 
-/** Execute one DeepSpeed-style (ZeRO-3 + hetero memory) step. */
-StepStats runZeroStep(const Server &server, const CostModel &cost,
-                      ZeroExecutorConfig cfg = {},
-                      TransferEngineConfig xfer_cfg = {},
-                      double cpu_adam_throughput = 0.0);
-
-/** runZeroStep() with the full option set and trace digest. */
+/**
+ * Execute one DeepSpeed-style (ZeRO-3 + hetero memory) step and
+ * return its measurements and trace digest. The only ZeRO step
+ * entry point.
+ */
 StepRunResult runZeroStepEx(const Server &server,
                             const CostModel &cost,
                             const StepRunOptions &opts = {});
@@ -190,7 +182,6 @@ StepRunResult runZeroStepEx(const Server &server,
  */
 StepStats runTensorParallelStep(const Server &server,
                                 const CostModel &cost,
-                                TpExecutorConfig cfg = {},
                                 TransferEngineConfig xfer_cfg = {});
 
 /**

@@ -7,6 +7,27 @@
 namespace mobius
 {
 
+namespace
+{
+
+// Transfer priorities (smaller = more urgent). Weight loads are
+// ordered by stage start (§3.3's cudaStreamCreateWithPriority).
+constexpr int kPrioActivation = 1;       //!< inter-stage activations
+constexpr int kPrioCheckpointUpload = 2; //!< checkpoint reloads
+constexpr int kPrioWeightBase = 10;      //!< + stage execution order
+constexpr int kPrioGradFlush = 2000;     //!< gradient flushes to DRAM
+constexpr int kPrioCheckpointOffload = 3000; //!< checkpoint offloads
+/**
+ * Recovery policy under fault injection: weight prefetches for a GPU
+ * the fault injector is currently throttling are demoted by this
+ * much (a straggler's compute, not its loads, is the bottleneck).
+ * Priorities order only that GPU's own copy-engine queue. No effect
+ * in fault-free runs.
+ */
+constexpr int kStragglerPrioPenalty = 500;
+
+} // namespace
+
 MobiusExecutor::MobiusExecutor(RunContext &ctx, const CostModel &cost,
                                Partition partition, Mapping mapping,
                                MobiusExecutorConfig cfg)
@@ -204,14 +225,10 @@ MobiusExecutor::pump(int gpu)
             req.dst = Endpoint::gpuAt(gpu);
             req.bytes = bytes;
             req.kind = TrafficKind::Parameter;
-            req.priority = cfg_.prioWeightBase + e.order;
-            // Straggler-aware prefetch (fault injection): a
-            // throttled GPU computes slowly, so its stage loads are
-            // not the bottleneck — demote them and let healthy GPUs'
-            // prefetches win the shared links.
-            if (cfg_.stragglerAwarePrefetch && ctx_.faults() &&
+            req.priority = kPrioWeightBase + e.order;
+            if (ctx_.faults() &&
                 ctx_.faults()->computeThrottle(gpu) < 1.0)
-                req.priority += cfg_.stragglerPrioPenalty;
+                req.priority += kStragglerPrioPenalty;
             req.rateCap = cfg_.weightSourceRateCap;
             req.label = strfmt("S%d.%s", e.stage,
                                e.phase == Phase::Fwd ? "fwd"
@@ -307,7 +324,7 @@ MobiusExecutor::onFwdCompute(int stage, int mb)
         off.dst = Endpoint::dram();
         off.bytes = s.aInBytes;
         off.kind = TrafficKind::Activation;
-        off.priority = cfg_.prioCheckpointOffload;
+        off.priority = kPrioCheckpointOffload;
         off.label = strfmt("ckpt%d,%d", stage, mb);
         off.deps = {s.lastFwdSpan};
         off.stage = stage;
@@ -328,7 +345,7 @@ MobiusExecutor::onFwdCompute(int stage, int mb)
             act.dst = Endpoint::gpuAt(next.gpu);
             act.bytes = s.aOutBytes;
             act.kind = TrafficKind::Activation;
-            act.priority = cfg_.prioActivation;
+            act.priority = kPrioActivation;
             act.label = strfmt("a%d,%d", stage, mb);
             act.deps = {s.lastFwdSpan};
             act.stage = stage + 1;
@@ -412,7 +429,7 @@ MobiusExecutor::askCheckpoint(int stage, int mb, SpanId trigger)
     up.dst = Endpoint::gpuAt(s.gpu);
     up.bytes = s.aInBytes;
     up.kind = TrafficKind::Activation;
-    up.priority = cfg_.prioCheckpointUpload;
+    up.priority = kPrioCheckpointUpload;
     up.label = strfmt("c%d,%d", stage, mb);
     up.deps = {trigger};
     up.stage = stage;
@@ -484,7 +501,7 @@ MobiusExecutor::onBwdCompute(int stage, int mb)
             g.dst = Endpoint::gpuAt(prev.gpu);
             g.bytes = prev.aOutBytes; // gradient of prev's output
             g.kind = TrafficKind::ActivationGrad;
-            g.priority = cfg_.prioActivation;
+            g.priority = kPrioActivation;
             g.label = strfmt("g%d,%d", stage, mb);
             g.deps = {s.lastBwdSpan};
             g.stage = stage - 1;
@@ -530,7 +547,7 @@ MobiusExecutor::finishBwdStage(int stage)
         flush.dst = Endpoint::dram();
         flush.bytes = s.gradBytes;
         flush.kind = TrafficKind::Gradient;
-        flush.priority = cfg_.prioGradFlush;
+        flush.priority = kPrioGradFlush;
         flush.label = strfmt("flush S%d", stage);
         flush.deps = {s.lastBwdSpan};
         flush.stage = stage;

@@ -5,6 +5,16 @@
 namespace mobius
 {
 
+namespace
+{
+
+// Transfer priorities (smaller = more urgent).
+constexpr int kPrioWeights = 10;    //!< weight-shard all-gathers
+constexpr int kPrioCheckpoint = 30; //!< checkpoint offload/reload
+constexpr int kPrioGradient = 20;   //!< gradient reduce-scatter
+
+} // namespace
+
 ZeroHeteroExecutor::ZeroHeteroExecutor(RunContext &ctx,
                                        const CostModel &cost,
                                        ZeroExecutorConfig cfg)
@@ -95,7 +105,7 @@ ZeroHeteroExecutor::pump(int gpu)
         req.dst = Endpoint::gpuAt(gpu);
         req.bytes = shard;
         req.kind = TrafficKind::Parameter;
-        req.priority = cfg_.prioWeights + k;
+        req.priority = kPrioWeights + k;
         req.label = strfmt("%c%d.shard", slotIsBwd(k) ? 'b' : 'f',
                            layer);
         req.deps = {g.memFreedBy};
@@ -115,7 +125,7 @@ ZeroHeteroExecutor::pump(int gpu)
             up.dst = Endpoint::gpuAt(gpu);
             up.bytes = cost_.inActBytes(layer);
             up.kind = TrafficKind::Activation;
-            up.priority = cfg_.prioCheckpoint;
+            up.priority = kPrioCheckpoint;
             up.label = strfmt("c%d", layer);
             up.deps = {g.memFreedBy};
             up.stage = layer;
@@ -143,7 +153,7 @@ ZeroHeteroExecutor::sendPeerPiece(int src, int dst, int k)
     req.dst = Endpoint::gpuAt(dst);
     req.bytes = piece;
     req.kind = TrafficKind::Parameter;
-    req.priority = cfg_.prioWeights + k;
+    req.priority = kPrioWeights + k;
     req.label = strfmt("ag%d:%d>%d", layer, src, dst);
     // The sender could not forward a shard it did not have yet.
     auto &spans =
@@ -247,7 +257,7 @@ ZeroHeteroExecutor::onCompute(int gpu, int k)
             off.dst = Endpoint::dram();
             off.bytes = cost_.inActBytes(layer);
             off.kind = TrafficKind::Activation;
-            off.priority = cfg_.prioCheckpoint;
+            off.priority = kPrioCheckpoint;
             off.label = strfmt("ckpt%d", layer);
             off.deps = {g.lastComputeSpan};
             off.stage = layer;
@@ -272,7 +282,7 @@ ZeroHeteroExecutor::onCompute(int gpu, int k)
             rs.dst = Endpoint::gpuAt(other);
             rs.bytes = piece;
             rs.kind = TrafficKind::Gradient;
-            rs.priority = cfg_.prioGradient;
+            rs.priority = kPrioGradient;
             rs.label = strfmt("rs%d:%d>%d", layer, gpu, other);
             rs.deps = {g.lastComputeSpan};
             rs.stage = layer;
@@ -283,7 +293,7 @@ ZeroHeteroExecutor::onCompute(int gpu, int k)
         grad.dst = Endpoint::dram();
         grad.bytes = piece;
         grad.kind = TrafficKind::Gradient;
-        grad.priority = cfg_.prioGradient;
+        grad.priority = kPrioGradient;
         grad.label = strfmt("flush l%d", layer);
         grad.deps = {g.lastComputeSpan};
         grad.stage = layer;

@@ -37,9 +37,6 @@ struct ZeroExecutorConfig
      * every GPU finished gathering it (all-gather is a barrier).
      */
     bool layerSync = true;
-    int prioWeights = 10;    //!< weight-shard all-gathers
-    int prioCheckpoint = 30; //!< checkpoint offload/reload
-    int prioGradient = 20;   //!< gradient reduce-scatter
 };
 
 /** Runs one DeepSpeed-style (ZeRO-3 + offload) training step. */

@@ -18,6 +18,15 @@ constexpr int kPrioActivation = 1;
 constexpr int kPrioKvStream = 2;
 constexpr int kPrioWeightBase = 10;
 
+/** MobiusSwap carve-out per GPU, in stages. */
+constexpr int kResidentStages = 2;
+/** ZeroGather: layer chunks gathered ahead of the one computing. */
+constexpr int kGatherLookahead = 1;
+/** Adaptive: backlog at or below which it falls back to swapping. */
+constexpr int kSwitchLow = 1;
+/** Adaptive: minimum iterations between two placement switches. */
+constexpr std::uint64_t kSwitchCooldownIters = 2;
+
 } // namespace
 
 /** All runtime state of one serving simulation. */
@@ -34,7 +43,7 @@ struct ServeSim::Impl
     struct GpuRt
     {
         Bytes fullBytes = 0;   //!< all owned stages, FP16
-        Bytes swapBytes = 0;   //!< residentStages-sized carve-out
+        Bytes swapBytes = 0;   //!< kResidentStages-sized carve-out
         Bytes budget = 0;      //!< carve-out currently allocated
         Bytes weightUsed = 0;  //!< resident + in-flight stage bytes
         bool swapping = false; //!< budget < fullBytes: ring active
@@ -45,8 +54,7 @@ struct ServeSim::Impl
         : opts(std::move(o)),
           server(makeCommodityServer(opts.groups)),
           work(opts.model, server),
-          plan(buildServePlan(work.cost(), server.topo,
-                              opts.placement)),
+          plan(buildServePlan(work.cost(), server.topo)),
           ctx(server, opts.xferCfg, 0.0, opts.metrics, {},
               &opts.faults, opts.faultSeed),
           batcher(opts.batch),
@@ -140,8 +148,8 @@ struct ServeSim::Impl
         if (gather) {
             // Scratch for (1 + lookahead) gathered chunks per GPU.
             const Bytes chunk = plan.maxStageBytes();
-            const int depth = std::min(
-                numStages(), 1 + opts.placement.lookahead);
+            const int depth =
+                std::min(numStages(), 1 + kGatherLookahead);
             gatherScratchBudget =
                 chunk * static_cast<Bytes>(depth);
             for (int g = 0; g < gpus; ++g)
@@ -156,8 +164,7 @@ struct ServeSim::Impl
             grt.swapBytes = std::min(
                 grt.fullBytes,
                 plan.maxOwnedStageBytes(g) *
-                    static_cast<Bytes>(
-                        opts.placement.residentStages));
+                    static_cast<Bytes>(kResidentStages));
             // AllInGpu must seat the whole model: alloc() is fatal
             // on OOM, which the bench reports as the policy's
             // infeasibility marker for DRAM-sized models.
@@ -584,8 +591,7 @@ struct ServeSim::Impl
                gDone[static_cast<std::size_t>(frontier)])
             ++frontier;
         const int horizon =
-            std::min(numStages(),
-                     frontier + 1 + opts.placement.lookahead);
+            std::min(numStages(), frontier + 1 + kGatherLookahead);
         for (int k = frontier; k < horizon; ++k) {
             const std::size_t ki = static_cast<std::size_t>(k);
             if (gIssued[ki])
@@ -705,9 +711,7 @@ struct ServeSim::Impl
     bool
     switchCooledDown() const
     {
-        return iterations - lastSwitchIter >=
-               static_cast<std::uint64_t>(
-                   opts.placement.switchCooldownIters);
+        return iterations - lastSwitchIter >= kSwitchCooldownIters;
     }
 
     void
@@ -725,7 +729,7 @@ struct ServeSim::Impl
                 lastSwitchIter = iterations;
             }
         } else if (modeFull &&
-                   pending <= opts.placement.switchLow &&
+                   pending <= kSwitchLow &&
                    static_cast<int>(running.size()) * 4 <=
                        opts.batch.maxBatch &&
                    loadsInFlight == 0 && switchCooledDown()) {
@@ -792,8 +796,7 @@ struct ServeSim::Impl
             // Keep the stages the next iteration needs first.
             const std::size_t keep = std::min(
                 owned.size(),
-                static_cast<std::size_t>(
-                    opts.placement.residentStages));
+                static_cast<std::size_t>(kResidentStages));
             for (std::size_t i = keep; i < owned.size(); ++i) {
                 StageRt &srt = stageRt[static_cast<std::size_t>(
                     owned[i])];

@@ -28,7 +28,7 @@
  * Determinism: the simulator consumes no randomness beyond the
  * seeded arrival generator and runs single-threaded inside one event
  * queue, so a fixed configuration is byte-identical on every run;
- * sweeps parallelise whole sims via runReplicas()/JobPump and reduce
+ * sweeps parallelise whole sims via JobPump::runAll() and reduce
  * in index order.
  */
 

@@ -18,7 +18,7 @@
  * operations move only trivially-copyable keys.
  * schedule(), cancel(), and each pop in run() are all O(log n) with
  * no per-event node allocation (the `std::map`-backed original, kept
- * as ReferenceEventQueue in event_queue_reference.hh, paid two
+ * as the test oracle ReferenceEventQueue in tests/oracles, paid two
  * red-black-tree inserts plus two erases per event; bench_simcore
  * tracks the speedup).
  *

@@ -29,6 +29,25 @@ JobPump::JobPump(std::size_t count,
         workers_.emplace_back([this] { workerLoop(); });
 }
 
+int
+JobPump::runAll(int count, const std::function<void(int)> &body,
+                int threads)
+{
+    if (count <= 0)
+        return 1;
+    const std::size_t n = static_cast<std::size_t>(count);
+    JobPump pump(
+        n, [&body](std::size_t i) { body(static_cast<int>(i)); },
+        threads);
+    for (std::size_t i = 0; i < n; ++i)
+        pump.enqueue(i);
+    pump.drain();
+    for (std::size_t i = 0; i < n; ++i)
+        if (std::exception_ptr e = pump.error(i))
+            std::rethrow_exception(e);
+    return pump.threadsUsed();
+}
+
 JobPump::~JobPump()
 {
     {

@@ -2,15 +2,17 @@
  * @file
  * Deterministic parallel pump over a *dynamic* ready-set of jobs.
  *
- * runReplicas() (replica_runner.hh) fans a fixed-size batch of
- * independent simulations over a thread pool. The fleet simulator
- * needs the same determinism contract but with a ready-set that grows
- * while the consumer is already draining results: jobs become
- * runnable one at a time (as the fleet's arrival process fires) and
- * the consumer needs individual results at scheduler-chosen moments
- * (admission), not one barrier at the end.
+ * Sensitivity sweeps, goodput curves and bench harnesses run many
+ * independent replicas of the simulator (same code, different seed
+ * or configuration); each replica builds its own EventQueue, engines
+ * and TraceRecorder, so replicas share no mutable state. The fleet
+ * simulator needs the same determinism contract but with a ready-set
+ * that grows while the consumer is already draining results: jobs
+ * become runnable one at a time (as the fleet's arrival process
+ * fires) and the consumer needs individual results at
+ * scheduler-chosen moments (admission), not one barrier at the end.
  *
- * JobPump generalises the ticket pool to that shape:
+ * JobPump serves both shapes:
  *
  *  - the pump is created over a fixed index space [0, count) and a
  *    body callback; enqueue(i) marks index i ready;
@@ -24,15 +26,15 @@
  *    on the index alone — callers keep results in per-index slots and
  *    read them only after wait(i), so consuming code performs the
  *    same reads in the same order at any thread count (bit-identical
- *    reductions, exactly the runReplicas() contract);
+ *    reductions);
  *  - exceptions are captured per index (error(i)) and never tear down
  *    the pump; undelivered jobs still run.
  *
  * Single producer/consumer: enqueue()/wait()/drain() must be called
  * from one thread (the fleet event loop). The body runs on workers.
  *
- * runReplicas() is implemented on top of this class (enqueue all,
- * drain, rethrow the lowest-index error).
+ * runAll() is the fixed-size batch: enqueue every index, drain, and
+ * rethrow the lowest-index error.
  */
 
 #ifndef MOBIUS_SIMCORE_JOB_PUMP_HH
@@ -71,6 +73,27 @@ class JobPump
 
     JobPump(const JobPump &) = delete;
     JobPump &operator=(const JobPump &) = delete;
+
+    /**
+     * Run @p body(i) for every i in [0, @p count) and return once all
+     * have finished. With one thread (or @p count <= 1) the bodies
+     * run inline on the calling thread, in index order; otherwise
+     * workers claim indices in index order.
+     *
+     * The body must confine its writes to per-index storage and
+     * callers reduce after the call, in index order, so results are
+     * bit-identical at any thread count. If any body throws, every
+     * other index still runs, and the lowest-index exception is
+     * rethrown after all workers join.
+     *
+     * @param count   number of indices; <= 0 runs nothing.
+     * @param body    callback invoked once per index.
+     * @param threads worker threads: 0 = hardware concurrency; always
+     *                clamped to [1, count].
+     * @return the thread count actually used (1 when @p count <= 0).
+     */
+    static int runAll(int count, const std::function<void(int)> &body,
+                      int threads = 0);
 
     /** @return worker threads in use (1 in inline mode). */
     int threadsUsed() const { return threadsUsed_; }

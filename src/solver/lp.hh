@@ -12,14 +12,15 @@
  *                 lb_j <= x_j <= ub_j            for each variable j
  * with lb defaulting to 0 and ub to +infinity.
  *
- * Unlike the original two-phase implementation (kept as the oracle in
- * lp_reference.hh), variable bounds are handled natively: a nonbasic
- * variable rests at its lower or upper bound and may "flip" across
- * its box without a basis change, so finite upper bounds cost zero
- * extra rows. Pricing is Dantzig (most negative reduced cost) with an
- * automatic switch to Bland's rule after a degeneracy stall, which
- * keeps the common case fast and termination guaranteed. Artificial
- * columns are excluded from pricing after phase 1 (no big-M penalty).
+ * Unlike the original two-phase implementation (kept as the test
+ * oracle tests/oracles/lp_reference.hh), variable bounds are handled
+ * natively: a nonbasic variable rests at its lower or upper bound and
+ * may "flip" across its box without a basis change, so finite upper
+ * bounds cost zero extra rows. Pricing is Dantzig (most negative
+ * reduced cost) with an automatic switch to Bland's rule after a
+ * degeneracy stall, which keeps the common case fast and termination
+ * guaranteed. Artificial columns are excluded from pricing after
+ * phase 1 (no big-M penalty).
  *
  * BoundedSimplex additionally supports warm re-solves after bound
  * changes — the branch-and-bound workhorse: the previous optimal
@@ -70,17 +71,6 @@ struct LpProblem
                 Sense sense, double rhs);
 };
 
-/** Solver knobs (safe defaults; only the MIP tunes these). */
-struct LpOptions
-{
-    /** Pivot budget for one solve; 0 = unlimited. A warm solve that
-     * exhausts it falls back to a cold solve automatically. */
-    std::uint64_t maxPivots = 0;
-    /** Consecutive degenerate pivots before Dantzig pricing yields
-     * to Bland's rule (reset on any strict improvement). */
-    int stallThreshold = 64;
-};
-
 /** Outcome of an LP solve. */
 struct LpSolution
 {
@@ -122,14 +112,14 @@ class BoundedSimplex
                    const std::vector<double> &upper);
 
     /** Solve from scratch (phase 1 + phase 2). */
-    LpSolution solveCold(const LpOptions &opts = {});
+    LpSolution solveCold();
 
     /**
      * Re-solve after a bounds change, starting from the last basis.
      * Falls back to solveCold() when no basis exists yet or the
-     * dual repair exceeds its pivot budget.
+     * dual repair exceeds its pivot budget of 20 x (rows + columns).
      */
-    LpSolution solveWarm(const LpOptions &opts = {});
+    LpSolution solveWarm();
 
     /** @return true once any solve has established a basis. */
     bool hasBasis() const;
@@ -146,8 +136,7 @@ class BoundedSimplex
 };
 
 /** Solve @p problem with the bounded-variable simplex. */
-LpSolution solveLp(const LpProblem &problem,
-                   const LpOptions &opts = {});
+LpSolution solveLp(const LpProblem &problem);
 
 /** @return printable name of a solution status. */
 std::string lpStatusName(LpSolution::Status status);

@@ -165,7 +165,7 @@ TEST_P(ExecutorFuzz, MobiusNeverSlowerThanGenerousBound)
     } catch (const FatalError &) {
         GTEST_SKIP();
     }
-    StepStats stats = runMobiusStep(server, work.cost(), plan);
+    StepStats stats = runMobiusStepEx(server, work.cost(), plan).stats;
 
     const CostModel &cm = work.cost();
     int m = work.train().numMicrobatches;

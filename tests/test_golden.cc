@@ -1,0 +1,126 @@
+/**
+ * @file
+ * Golden fingerprints: pinned digests of one run of every step entry
+ * point, every serving policy and a small fleet. A refactor that
+ * claims "same behaviour" must leave every constant here unchanged;
+ * a deliberate change to modelled behaviour updates them and says so.
+ *
+ * Links both mobius_fleet and mobius_serve, so one binary covers the
+ * training executors, the serving simulator and the fleet simulator.
+ */
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+
+#include "fault/fault_plan.hh"
+#include "fleet/fleet_sim.hh"
+#include "runtime/api.hh"
+#include "serve/serve_sim.hh"
+
+using namespace mobius;
+
+namespace
+{
+
+/** GPT-8B on a 2+2 commodity box with the default Mobius plan. */
+struct Gpt8bSetup
+{
+    Server server = makeCommodityServer({2, 2});
+    Workload work{gpt8b(), server};
+    MobiusPlan plan = planMobius(server, work.cost());
+};
+
+/** serveFingerprint of a 12-request open-loop run under @p policy. */
+std::uint64_t
+serveDigest(ServePlacement policy)
+{
+    ServeOptions opts;
+    opts.model = gpt3b();
+    opts.placement.policy = policy;
+    opts.placement.switchHigh = 3;
+    opts.batch.maxBatch = 8;
+    ServeSim sim(opts);
+    ServeRequest proto;
+    proto.promptTokens = 64;
+    proto.maxNewTokens = 6;
+    sim.submitOpenLoop(proto, 12, {{8.0, 1.0}}, 5);
+    sim.run();
+    return serveFingerprint(sim.records());
+}
+
+} // namespace
+
+TEST(Golden, MobiusStepSpanHash)
+{
+    Gpt8bSetup s;
+    const StepRunResult r =
+        runMobiusStepEx(s.server, s.work.cost(), s.plan);
+    EXPECT_EQ(r.spanHash, 0xdb6f168d1157ab1cULL);
+}
+
+TEST(Golden, MobiusStragglerStepSpanHash)
+{
+    // A compute window on gpu1 throttles it for the whole step, so
+    // its weight prefetches take the straggler-demotion path.
+    Gpt8bSetup s;
+    const FaultPlan faults =
+        parseFaultSpec("degrade:gpu1=0.5@0+1000", s.server);
+    StepRunOptions opts;
+    opts.faults = &faults;
+    const StepRunResult r =
+        runMobiusStepEx(s.server, s.work.cost(), s.plan, opts);
+    EXPECT_EQ(r.spanHash, 0x880d18cbf03b26a5ULL);
+}
+
+TEST(Golden, ZeroStepSpanHash)
+{
+    Gpt8bSetup s;
+    const StepRunResult r = runZeroStepEx(s.server, s.work.cost());
+    EXPECT_EQ(r.spanHash, 0x0b4558c2267e3a4bULL);
+}
+
+TEST(Golden, TensorParallelStepTimeBits)
+{
+    Gpt8bSetup s;
+    const StepStats st = runTensorParallelStep(s.server, s.work.cost());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(st.stepTime),
+              0x400761f0dfa8272fULL);
+}
+
+TEST(Golden, PipelineStepTimeBits)
+{
+    // The all-in-GPU pipeline only fits the 3B model on 4x24 GB.
+    const Server server = makeCommodityServer({2, 2});
+    const Workload work(gpt3b(), server);
+    const StepStats st = runPipelineStep(server, work.cost(),
+                                         PipelineSchedule::OneFOneB);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(st.stepTime),
+              0x3ff0e05350246accULL);
+}
+
+TEST(Golden, ServeFingerprints)
+{
+    EXPECT_EQ(serveDigest(ServePlacement::MobiusSwap), 0x1e675cd68f738ee5ULL);
+    EXPECT_EQ(serveDigest(ServePlacement::AllInGpu), 0x78645254ba20a652ULL);
+    EXPECT_EQ(serveDigest(ServePlacement::ZeroGather), 0x98f34f3f20a9266fULL);
+    EXPECT_EQ(serveDigest(ServePlacement::Adaptive), 0x274785cb5dc36a98ULL);
+}
+
+TEST(Golden, FleetFingerprint)
+{
+    FleetOptions opts;
+    opts.threads = 1;
+    opts.servers.push_back({"commodity", {2, 2}, false, 1});
+    FleetSim fleet(opts);
+    JobSpec proto;
+    proto.model = gpt3b();
+    proto.groups = {2, 2};
+    proto.steps = 2;
+    fleet.submitPoisson(proto, 4, 2.0, 42);
+    JobSpec zero = proto;
+    zero.system = JobSystem::DeepSpeed;
+    fleet.submit(zero);
+    EXPECT_EQ(fleet.run().fingerprint, 0x864531e2cb994c62ULL);
+}

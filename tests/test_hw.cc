@@ -128,6 +128,14 @@ TEST(Topology, ParseTopoGroups)
     EXPECT_EQ(parseTopoGroups("4+4"), (std::vector<int>{4, 4}));
 }
 
+TEST(Topology, MalformedTopoGroupsAreFatal)
+{
+    for (const char *bad : {"", "+", "2+", "+2", "2++2", "a+2", "2+2x",
+                            "2x+2", " 2+2", "2+-2", "-2",
+                            "99999999999+2"})
+        EXPECT_THROW(parseTopoGroups(bad), FatalError) << "'" << bad << "'";
+}
+
 TEST(Topology, ServerNamesDescribeTopology)
 {
     EXPECT_NE(makeCommodityServer({2, 2}).name.find("Topo 2+2"),

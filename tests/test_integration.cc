@@ -24,7 +24,7 @@ TEST(Integration, A100CommodityUsesP2pFabric)
     ASSERT_TRUE(server.topo.gpudirectP2p());
     Workload work(gpt15b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats s = runMobiusStep(server, work.cost(), plan);
+    StepStats s = runMobiusStepEx(server, work.cost(), plan).stats;
     EXPECT_GT(s.stepTime, 0.0);
     EXPECT_GT(s.traffic.bytesOf(TrafficKind::Activation), 0u);
 }
@@ -50,10 +50,10 @@ TEST(Integration, MappingIrrelevantOnDcServer)
     cross.mapping = MappingAlgo::Cross;
     PlanOptions seq;
     seq.mapping = MappingAlgo::Sequential;
-    StepStats sc = runMobiusStep(
-        dc, work.cost(), planMobius(dc, work.cost(), cross));
-    StepStats ss = runMobiusStep(
-        dc, work.cost(), planMobius(dc, work.cost(), seq));
+    StepStats sc = runMobiusStepEx(
+        dc, work.cost(), planMobius(dc, work.cost(), cross)).stats;
+    StepStats ss = runMobiusStepEx(
+        dc, work.cost(), planMobius(dc, work.cost(), seq)).stats;
     EXPECT_NEAR(sc.stepTime, ss.stepTime, ss.stepTime * 0.1);
 }
 
@@ -71,7 +71,7 @@ TEST_P(Table3Models, EstimateTracksExecution)
     Server server = makeCommodityServer({2, 2});
     Workload work(cfg(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats s = runMobiusStep(server, work.cost(), plan);
+    StepStats s = runMobiusStepEx(server, work.cost(), plan).stats;
     EXPECT_GE(s.stepTime, plan.estimate.stepTime * 0.95);
     EXPECT_LE(s.stepTime, plan.estimate.stepTime * 3.0);
 }
@@ -82,8 +82,8 @@ TEST_P(Table3Models, SpeedupInPaperBand)
     Server server = makeCommodityServer({2, 2});
     Workload work(cfg(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats mob = runMobiusStep(server, work.cost(), plan);
-    StepStats ds = runZeroStep(server, work.cost());
+    StepStats mob = runMobiusStepEx(server, work.cost(), plan).stats;
+    StepStats ds = runZeroStepEx(server, work.cost()).stats;
     double speedup = ds.stepTime / mob.stepTime;
     EXPECT_GT(speedup, 3.0) << cfg().name;
     EXPECT_LT(speedup, 7.0) << cfg().name;
@@ -94,7 +94,7 @@ TEST_P(Table3Models, MobiusTrafficNearEq1)
     Server server = makeCommodityServer({2, 2});
     Workload work(cfg(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats s = runMobiusStep(server, work.cost(), plan);
+    StepStats s = runMobiusStepEx(server, work.cost(), plan).stats;
     double ratio =
         s.trafficRatio(work.model().totalParamBytesFp32());
     EXPECT_GT(ratio, 1.2) << cfg().name;
@@ -113,7 +113,7 @@ TEST(Integration, ThreeRootComplexTopologies)
         Server server = makeCommodityServer(groups);
         Workload work(gpt8b(), server);
         MobiusPlan plan = planMobius(server, work.cost());
-        StepStats s = runMobiusStep(server, work.cost(), plan);
+        StepStats s = runMobiusStepEx(server, work.cost(), plan).stats;
         EXPECT_GT(s.stepTime, 0.0);
     }
 }
@@ -125,10 +125,10 @@ TEST(Integration, MoreMicrobatchesScaleStepTimeSublinearly)
     Server server = makeCommodityServer({2, 2});
     Workload w4(gpt15b(), server, 1, 4);
     Workload w8(gpt15b(), server, 1, 8);
-    StepStats s4 = runMobiusStep(server, w4.cost(),
-                                 planMobius(server, w4.cost()));
-    StepStats s8 = runMobiusStep(server, w8.cost(),
-                                 planMobius(server, w8.cost()));
+    StepStats s4 = runMobiusStepEx(server, w4.cost(),
+                                 planMobius(server, w4.cost())).stats;
+    StepStats s8 = runMobiusStepEx(server, w8.cost(),
+                                 planMobius(server, w8.cost())).stats;
     EXPECT_GT(s8.stepTime, s4.stepTime);
     EXPECT_LT(s8.stepTime, s4.stepTime * 2.0);
 }

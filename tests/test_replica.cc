@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the deterministic parallel replica runner and the
- * JobPump it is built on: thread-count invariance of full simulated
- * runs (span for span), complete coverage of the index space,
- * deterministic exception propagation, and the dynamic ready-set
- * contract (FIFO claim order, per-index errors, inline mode).
+ * Tests for JobPump, the deterministic parallel pump: its fixed-batch
+ * replica fan-out JobPump::runAll (the ReplicaRunner tests: thread-
+ * count invariance of full simulated runs span for span, complete
+ * coverage of the index space, deterministic exception propagation)
+ * and the dynamic ready-set contract (FIFO claim order, per-index
+ * errors, inline mode).
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +18,6 @@
 #include "fault/fault_plan.hh"
 #include "runtime/api.hh"
 #include "simcore/job_pump.hh"
-#include "simcore/replica_runner.hh"
 
 namespace mobius
 {
@@ -30,30 +30,22 @@ TEST(ReplicaRunner, RunsEveryIndexOnce)
     std::vector<std::atomic<int>> hits(n);
     for (auto &h : hits)
         h = 0;
-    ReplicaRunnerOptions opts;
-    opts.threads = 4;
-    ReplicaRunStats rs =
-        runReplicas(n, [&](int i) { ++hits[i]; }, opts);
-    EXPECT_EQ(rs.threadsUsed, 4);
+    EXPECT_EQ(JobPump::runAll(n, [&](int i) { ++hits[i]; }, 4), 4);
     for (int i = 0; i < n; ++i)
         EXPECT_EQ(hits[i], 1) << "index " << i;
 }
 
 TEST(ReplicaRunner, ClampsThreadsToCount)
 {
-    ReplicaRunnerOptions opts;
-    opts.threads = 16;
-    ReplicaRunStats rs = runReplicas(3, [](int) {}, opts);
-    EXPECT_EQ(rs.threadsUsed, 3);
-    EXPECT_EQ(runReplicas(0, [](int) {}, opts).threadsUsed, 1);
+    EXPECT_EQ(JobPump::runAll(3, [](int) {}, 16), 3);
+    EXPECT_EQ(JobPump::runAll(0, [](int) {}, 16), 1);
 }
 
 TEST(ReplicaRunner, SingleThreadRunsInline)
 {
     std::vector<int> order;
-    ReplicaRunnerOptions opts;
-    opts.threads = 1;
-    runReplicas(5, [&](int i) { order.push_back(i); }, opts);
+    EXPECT_EQ(JobPump::runAll(5, [&](int i) { order.push_back(i); }, 1),
+              1);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -63,10 +55,8 @@ TEST(ReplicaRunner, LowestIndexExceptionWinsAndRestStillRun)
     std::vector<std::atomic<int>> hits(n);
     for (auto &h : hits)
         h = 0;
-    ReplicaRunnerOptions opts;
-    opts.threads = 4;
     try {
-        runReplicas(
+        JobPump::runAll(
             n,
             [&](int i) {
                 ++hits[i];
@@ -74,8 +64,8 @@ TEST(ReplicaRunner, LowestIndexExceptionWinsAndRestStillRun)
                     throw std::runtime_error(
                         "replica " + std::to_string(i));
             },
-            opts);
-        FAIL() << "expected runReplicas to rethrow";
+            4);
+        FAIL() << "expected runAll to rethrow";
     } catch (const std::runtime_error &e) {
         EXPECT_STREQ(e.what(), "replica 3");
     }
@@ -100,9 +90,7 @@ TEST(ReplicaRunner, FaultedRunsSpanForSpanIdenticalAcrossThreads)
     const int replicas = 6;
     auto batch = [&](int threads) {
         std::vector<std::string> traces(replicas);
-        ReplicaRunnerOptions opts;
-        opts.threads = threads;
-        runReplicas(
+        JobPump::runAll(
             replicas,
             [&](int i) {
                 Server server = makeCommodityServer({2, 2});
@@ -119,7 +107,7 @@ TEST(ReplicaRunner, FaultedRunsSpanForSpanIdenticalAcrossThreads)
                 traces[static_cast<std::size_t>(i)] =
                     ctx.trace().toChromeJson();
             },
-            opts);
+            threads);
         return traces;
     };
 

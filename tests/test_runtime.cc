@@ -24,7 +24,7 @@ mobiusStep(const GptConfig &cfg, const std::vector<int> &groups,
     Server server = makeCommodityServer(groups);
     Workload work(cfg, server);
     MobiusPlan plan = planMobius(server, work.cost(), opts);
-    StepStats stats = runMobiusStep(server, work.cost(), plan);
+    StepStats stats = runMobiusStepEx(server, work.cost(), plan).stats;
     if (plan_out)
         *plan_out = plan;
     return stats;
@@ -47,7 +47,7 @@ TEST(MobiusExecutor, TrafficMatchesEq1)
         Server server = makeCommodityServer({2, 2});
         Workload work(cfg, server);
         MobiusPlan plan = planMobius(server, work.cost());
-        StepStats s = runMobiusStep(server, work.cost(), plan);
+        StepStats s = runMobiusStepEx(server, work.cost(), plan).stats;
         double ratio =
             s.trafficRatio(work.model().totalParamBytesFp32());
         EXPECT_GT(ratio, 1.2) << cfg.name;
@@ -60,7 +60,7 @@ TEST(MobiusExecutor, ParameterTrafficTwoCopiesMinusResidentTail)
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats s = runMobiusStep(server, work.cost(), plan);
+    StepStats s = runMobiusStepEx(server, work.cost(), plan).stats;
 
     Bytes fp16 = work.model().totalParamBytesFp16();
     Bytes params = s.traffic.bytesOf(TrafficKind::Parameter);
@@ -85,7 +85,7 @@ TEST(MobiusExecutor, SingleGpuWorks)
     Server server = makeCommodityServer({1});
     Workload work(gpt8b(), server, -1, 2);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats s = runMobiusStep(server, work.cost(), plan);
+    StepStats s = runMobiusStepEx(server, work.cost(), plan).stats;
     EXPECT_GT(s.stepTime, 0.0);
 }
 
@@ -102,7 +102,7 @@ TEST(ZeroExecutor, TrafficMatchesEq2)
     // 7.3x with framework overheads).
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt15b(), server);
-    StepStats s = runZeroStep(server, work.cost());
+    StepStats s = runZeroStepEx(server, work.cost()).stats;
     double ratio =
         s.trafficRatio(work.model().totalParamBytesFp32());
     EXPECT_GT(ratio, 5.0);
@@ -115,7 +115,7 @@ TEST(ZeroExecutor, ContentionHalvesObservedBandwidth)
     // bandwidth on Topo 2+2.
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt15b(), server);
-    StepStats s = runZeroStep(server, work.cost());
+    StepStats s = runZeroStepEx(server, work.cost()).stats;
     BandwidthCdf cdf(s.traffic.samples());
     EXPECT_LT(cdf.quantile(0.5), 0.55 * kPcie3x16Bw);
 }
@@ -124,9 +124,9 @@ TEST(ZeroExecutor, LayerSyncOffStillCompletes)
 {
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
-    ZeroExecutorConfig cfg;
-    cfg.layerSync = false;
-    StepStats s = runZeroStep(server, work.cost(), cfg);
+    StepRunOptions opts;
+    opts.zero.layerSync = false;
+    StepStats s = runZeroStepEx(server, work.cost(), opts).stats;
     EXPECT_GT(s.stepTime, 0.0);
 }
 
@@ -141,8 +141,8 @@ TEST(Headline, MobiusBeatsDeepSpeedOnCommodity)
             Server server = makeCommodityServer(groups);
             Workload work(cfg, server);
             MobiusPlan plan = planMobius(server, work.cost());
-            StepStats mob = runMobiusStep(server, work.cost(), plan);
-            StepStats ds = runZeroStep(server, work.cost());
+            StepStats mob = runMobiusStepEx(server, work.cost(), plan).stats;
+            StepStats ds = runZeroStepEx(server, work.cost()).stats;
             double speedup = ds.stepTime / mob.stepTime;
             EXPECT_GT(speedup, 2.5)
                 << cfg.name << " groups=" << groups.size();
@@ -158,8 +158,8 @@ TEST(Headline, MobiusReducesExposedCommunication)
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt15b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats mob = runMobiusStep(server, work.cost(), plan);
-    StepStats ds = runZeroStep(server, work.cost());
+    StepStats mob = runMobiusStepEx(server, work.cost(), plan).stats;
+    StepStats ds = runZeroStepEx(server, work.cost()).stats;
     EXPECT_LT(mob.exposedCommFraction(),
               ds.exposedCommFraction() - 0.1);
 }
@@ -170,7 +170,7 @@ TEST(Headline, MobiusBandwidthNearLinkPeak)
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats s = runMobiusStep(server, work.cost(), plan);
+    StepStats s = runMobiusStepEx(server, work.cost(), plan).stats;
     BandwidthCdf cdf(s.traffic.samples());
     EXPECT_LT(cdf.fractionAtOrBelow(12e9), 0.5);
     EXPECT_NEAR(cdf.maxBandwidth(), kPcie3x16Bw, 0.05 * kPcie3x16Bw);
@@ -219,8 +219,8 @@ TEST(Mapping, CrossMappingNoSlowerOnEightGpus)
     seq_opts.mapping = MappingAlgo::Sequential;
     MobiusPlan cross = planMobius(server, work.cost(), cross_opts);
     MobiusPlan seq = planMobius(server, work.cost(), seq_opts);
-    StepStats sc = runMobiusStep(server, work.cost(), cross);
-    StepStats ss = runMobiusStep(server, work.cost(), seq);
+    StepStats sc = runMobiusStepEx(server, work.cost(), cross).stats;
+    StepStats ss = runMobiusStepEx(server, work.cost(), seq).stats;
     EXPECT_LE(sc.stepTime, ss.stepTime * 1.001);
 }
 
@@ -235,7 +235,7 @@ TEST(PartitionAblation, MipNoSlowerThanBaselinesExecuted)
         PlanOptions opts;
         opts.partition = algo;
         MobiusPlan plan = planMobius(server, work.cost(), opts);
-        return runMobiusStep(server, work.cost(), plan).stepTime;
+        return runMobiusStepEx(server, work.cost(), plan).stats.stepTime;
     };
     double mip = run(PartitionAlgo::Mip);
     double maxs = run(PartitionAlgo::MaxStage);
@@ -249,14 +249,14 @@ TEST(DataCenter, DeepSpeedCompetitiveWithNvlink)
     Server dc = makeDataCenterServer(4);
     Workload work(gpt8b(), dc, 2);
     MobiusPlan plan = planMobius(dc, work.cost());
-    StepStats mob = runMobiusStep(dc, work.cost(), plan);
-    StepStats ds = runZeroStep(dc, work.cost());
+    StepStats mob = runMobiusStepEx(dc, work.cost(), plan).stats;
+    StepStats ds = runZeroStepEx(dc, work.cost()).stats;
     EXPECT_LT(ds.stepTime, mob.stepTime);
 
     // And both beat the commodity box in absolute time.
     Server c = makeCommodityServer({2, 2});
     Workload cw(gpt8b(), c, 2);
-    StepStats cds = runZeroStep(c, cw.cost());
+    StepStats cds = runZeroStepEx(c, cw.cost()).stats;
     EXPECT_LT(ds.stepTime, cds.stepTime);
 }
 
@@ -266,13 +266,13 @@ TEST(DataCenter, PricePerStepFavoursCommodity)
     // DeepSpeed on the data-center server.
     Server dc = makeDataCenterServer(4);
     Workload dwork(gpt15b(), dc, 2);
-    StepStats ds_dc = runZeroStep(dc, dwork.cost());
+    StepStats ds_dc = runZeroStepEx(dc, dwork.cost()).stats;
     double dc_price = ds_dc.stepTime / 3600.0 * dc.dollarsPerHour;
 
     Server c = makeCommodityServer({2, 2});
     Workload cwork(gpt15b(), c, 2);
     MobiusPlan plan = planMobius(c, cwork.cost());
-    StepStats mob_c = runMobiusStep(c, cwork.cost(), plan);
+    StepStats mob_c = runMobiusStepEx(c, cwork.cost(), plan).stats;
     double c_price = mob_c.stepTime / 3600.0 * c.dollarsPerHour;
 
     EXPECT_LT(c_price, dc_price);
@@ -287,7 +287,7 @@ TEST(Scalability, ThroughputScalesWithGpus)
             makeCommodityServer({gpus / 2, gpus - gpus / 2});
         Workload work(gpt15b(), server, 1, gpus);
         MobiusPlan plan = planMobius(server, work.cost());
-        StepStats s = runMobiusStep(server, work.cost(), plan);
+        StepStats s = runMobiusStepEx(server, work.cost(), plan).stats;
         return gpus * 1.0 / s.stepTime;
     };
     double t2 = throughput(2);
@@ -335,6 +335,16 @@ TEST(Workload, DefaultsFollowTable3AndServer)
     EXPECT_EQ(w2.train().numMicrobatches, 8);
 }
 
+TEST(Workload, NonPositiveMicrobatchSettingsAreFatal)
+{
+    Server server = makeCommodityServer({2, 2});
+    EXPECT_THROW(Workload(gpt8b(), server, 0), FatalError);
+    EXPECT_THROW(Workload(gpt8b(), server, -3), FatalError);
+    EXPECT_THROW(Workload(gpt8b(), server, -1, 0), FatalError);
+    EXPECT_THROW(Workload(gpt8b(), server, -1, -2), FatalError);
+    EXPECT_NO_THROW(Workload(gpt8b(), server, -1, -1));
+}
+
 TEST(Plan, OverheadFieldsPopulated)
 {
     Server server = makeCommodityServer({1, 3});
@@ -351,7 +361,7 @@ TEST(Plan, Gpt51bPlansAndRuns)
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt51b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats s = runMobiusStep(server, work.cost(), plan);
+    StepStats s = runMobiusStepEx(server, work.cost(), plan).stats;
     EXPECT_GT(s.stepTime, 0.0);
 }
 

@@ -19,7 +19,7 @@
 #include "model/model.hh"
 #include "serve/serve_sim.hh"
 #include "simcore/arrival.hh"
-#include "simcore/replica_runner.hh"
+#include "simcore/job_pump.hh"
 
 using namespace mobius;
 
@@ -317,12 +317,10 @@ TEST(ServeSim, FingerprintIdenticalAcrossReplicaWidths)
     const std::uint64_t want = cell(0);
     for (int threads : {1, 4, 0}) {
         std::vector<std::uint64_t> got(6, 0);
-        ReplicaRunnerOptions ropts;
-        ropts.threads = threads;
-        runReplicas(
+        JobPump::runAll(
             6, [&](int i) { got[static_cast<std::size_t>(i)] =
                                 cell(i); },
-            ropts);
+            threads);
         for (std::uint64_t fp : got)
             EXPECT_EQ(fp, want) << "width " << threads;
     }

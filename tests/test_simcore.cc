@@ -16,7 +16,7 @@
 #include "base/logging.hh"
 #include "simcore/arrival.hh"
 #include "simcore/event_queue.hh"
-#include "simcore/event_queue_reference.hh"
+#include "oracles/event_queue_reference.hh"
 
 namespace mobius
 {

@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the simplex LP solver and the branch-and-bound MIP:
  * textbook instances, randomized fuzz against the frozen reference
- * implementation (lp_reference.hh), warm-start equivalence, and
+ * implementation (tests/oracles/lp_reference.hh), warm-start equivalence, and
  * thread-count determinism of the exact partition sweep.
  */
 
@@ -16,7 +16,7 @@
 #include "plan/partition_mip.hh"
 #include "plan/pipeline_cost.hh"
 #include "solver/lp.hh"
-#include "solver/lp_reference.hh"
+#include "oracles/lp_reference.hh"
 #include "solver/mip.hh"
 
 namespace mobius

@@ -64,7 +64,7 @@ TEST(TensorParallel, MobiusWinsAtLargerBatch)
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server, 8);
     MobiusPlan plan = planMobius(server, work.cost());
-    StepStats mob = runMobiusStep(server, work.cost(), plan);
+    StepStats mob = runMobiusStepEx(server, work.cost(), plan).stats;
     StepStats tp = runTensorParallelStep(server, work.cost());
     EXPECT_GT(tp.stepTime, mob.stepTime * 1.2);
 }
@@ -82,15 +82,24 @@ TEST(TensorParallel, GradientShardsSumToModel)
     EXPECT_NEAR(ratio, 1.0, 0.01);
 }
 
+/** Step options with the CPU optimizer model at @p params_per_s. */
+StepRunOptions
+cpuAdam(double params_per_s)
+{
+    StepRunOptions opts;
+    opts.cpuAdamThroughput = params_per_s;
+    return opts;
+}
+
 TEST(CpuOptimizer, DisabledByDefaultIsFree)
 {
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
     StepStats off =
-        runMobiusStep(server, work.cost(), plan, {}, {}, 0.0);
-    StepStats fast = runMobiusStep(server, work.cost(), plan, {},
-                                   {}, 1e18);
+        runMobiusStepEx(server, work.cost(), plan, cpuAdam(0.0)).stats;
+    StepStats fast =
+        runMobiusStepEx(server, work.cost(), plan, cpuAdam(1e18)).stats;
     EXPECT_NEAR(off.stepTime, fast.stepTime,
                 off.stepTime * 1e-6);
 }
@@ -101,11 +110,11 @@ TEST(CpuOptimizer, SlowCpuLengthensStepTail)
     Workload work(gpt8b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
     StepStats off =
-        runMobiusStep(server, work.cost(), plan, {}, {}, 0.0);
+        runMobiusStepEx(server, work.cost(), plan, cpuAdam(0.0)).stats;
     // 1G params/s over ~8B params = ~8 s of CPU Adam, partially
     // overlapped with the step.
     StepStats on =
-        runMobiusStep(server, work.cost(), plan, {}, {}, 1e9);
+        runMobiusStepEx(server, work.cost(), plan, cpuAdam(1e9)).stats;
     EXPECT_GT(on.stepTime, off.stepTime);
     double adam_serial =
         static_cast<double>(work.model().totalParams()) / 1e9;
@@ -118,8 +127,8 @@ TEST(CpuOptimizer, AppliesToZeroExecutorToo)
 {
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
-    StepStats off = runZeroStep(server, work.cost(), {}, {}, 0.0);
-    StepStats on = runZeroStep(server, work.cost(), {}, {}, 1e9);
+    StepStats off = runZeroStepEx(server, work.cost(), cpuAdam(0.0)).stats;
+    StepStats on = runZeroStepEx(server, work.cost(), cpuAdam(1e9)).stats;
     EXPECT_GT(on.stepTime, off.stepTime);
 }
 

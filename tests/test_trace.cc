@@ -546,11 +546,11 @@ TEST(SsdTierAblation, NvmeRateCapSlowsWeightLoads)
     Workload work(gpt15b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
 
-    MobiusExecutorConfig dram;
-    MobiusExecutorConfig ssd;
-    ssd.weightSourceRateCap = 3.0e9; // NVMe-class read bandwidth
-    StepStats a = runMobiusStep(server, work.cost(), plan, dram);
-    StepStats b = runMobiusStep(server, work.cost(), plan, ssd);
+    StepRunOptions dram;
+    StepRunOptions ssd;
+    ssd.mobius.weightSourceRateCap = 3.0e9; // NVMe-class read bandwidth
+    StepStats a = runMobiusStepEx(server, work.cost(), plan, dram).stats;
+    StepStats b = runMobiusStepEx(server, work.cost(), plan, ssd).stats;
     EXPECT_GT(b.stepTime, a.stepTime * 1.5);
 }
 
