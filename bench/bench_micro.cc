@@ -88,19 +88,20 @@ BM_MipPartitionSolve(benchmark::State &state)
 }
 BENCHMARK(BM_MipPartitionSolve);
 
+/** Args: GPU count, root complexes (equal shares): 2+2, 4+4, 2+2+2+2. */
 void
 BM_CrossMappingSearch(benchmark::State &state)
 {
+    const int gpus = static_cast<int>(state.range(0));
+    const int rcs = static_cast<int>(state.range(1));
     Server server = makeCommodityServer(
-        {static_cast<int>(state.range(0)) / 2,
-         static_cast<int>(state.range(0)) -
-             static_cast<int>(state.range(0)) / 2});
+        std::vector<int>(static_cast<std::size_t>(rcs), gpus / rcs));
     for (auto _ : state) {
         auto r = crossMapping(server.topo, 40);
         benchmark::DoNotOptimize(r.mapping.contention);
     }
 }
-BENCHMARK(BM_CrossMappingSearch)->Arg(4)->Arg(8);
+BENCHMARK(BM_CrossMappingSearch)->Args({4, 2})->Args({8, 2})->Args({8, 4});
 
 void
 BM_TensorMatmul(benchmark::State &state)

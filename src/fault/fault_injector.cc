@@ -351,12 +351,4 @@ FaultInjector::submitAttempt(TransferRequest req, int attempt,
     return xfer_.submit(std::move(a));
 }
 
-double
-FaultInjector::computeThrottle(int gpu) const
-{
-    if (gpu < 0 || gpu >= static_cast<int>(computeFactor_.size()))
-        return 1.0;
-    return computeFactor_[gpu];
-}
-
 } // namespace mobius

@@ -124,9 +124,6 @@ class FaultInjector
      */
     FlowId submit(TransferRequest req);
 
-    /** Current compute throttle of @p gpu (1 = nominal). */
-    double computeThrottle(int gpu) const;
-
     const FaultCounters &counters() const { return counters_; }
     const FaultPlan &plan() const { return plan_; }
 

@@ -4,8 +4,11 @@
  *
  * Stages are assigned round-robin over a GPU *order*; the order is
  * what distinguishes sequential mapping (identity) from cross mapping
- * (the order minimising the contention degree of Eq. 12/13, found by
- * exhaustive search over GPU permutations).
+ * (the order minimising the contention degree of Eq. 12/13). Cross
+ * mapping scores one order per class of orders that Eq. 13 scores
+ * bit-identically (GPUs swapped inside a root complex, equal-size
+ * root complexes swapped), and picks the same order as a search over
+ * all N! permutations would.
  */
 
 #ifndef MOBIUS_PLAN_MAPPING_HH
@@ -54,10 +57,16 @@ struct MappingResult
 {
     Mapping mapping;            //!< the chosen order
     double searchSeconds = 0.0; //!< wall-clock spent searching
-    int evaluated = 0;          //!< permutations scored
+    /** Orders scored: one per class of Eq. 13-equivalent orders
+     * (35 on 4+4, 105 on 2+2+2+2, 1 on eight single-GPU root
+     * complexes), not N!. */
+    int evaluated = 0;
 };
 
-/** §3.3 cross mapping: the permutation with minimal Eq. 13 score. */
+/**
+ * §3.3 cross mapping: the GPU order with minimal Eq. 13 score; ties
+ * resolve to the lexicographically smallest order.
+ */
 MappingResult crossMapping(const Topology &topo, int num_stages);
 
 } // namespace mobius

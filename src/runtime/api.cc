@@ -101,6 +101,10 @@ planMobius(const Server &server, const CostModel &cost,
             crossMapping(server.topo, plan.stageCount());
         plan.mapping = std::move(cross.mapping);
         plan.mappingSeconds = cross.searchSeconds;
+        if (opts.metrics && opts.metrics->enabled()) {
+            opts.metrics->counter("plan.mapping.evaluated")
+                .add(static_cast<double>(cross.evaluated));
+        }
     } else {
         plan.mapping =
             sequentialMapping(server.topo, plan.stageCount());

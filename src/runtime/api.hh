@@ -96,7 +96,8 @@ struct PlanOptions
      * Ignored by the other partition algorithms. */
     int maxStages = 0;
     /** Optional registry for plan.mip.* / solver.lp.* metrics from
-     * the exact MIP solve; null or disabled = no recording. */
+     * the exact MIP solve and the plan.mapping.evaluated count of
+     * cross mapping; null or disabled = no recording. */
     MetricsRegistry *metrics = nullptr;
 };
 

@@ -17,14 +17,6 @@ constexpr int kPrioCheckpointUpload = 2; //!< checkpoint reloads
 constexpr int kPrioWeightBase = 10;      //!< + stage execution order
 constexpr int kPrioGradFlush = 2000;     //!< gradient flushes to DRAM
 constexpr int kPrioCheckpointOffload = 3000; //!< checkpoint offloads
-/**
- * Recovery policy under fault injection: weight prefetches for a GPU
- * the fault injector is currently throttling are demoted by this
- * much (a straggler's compute, not its loads, is the bottleneck).
- * Priorities order only that GPU's own copy-engine queue. No effect
- * in fault-free runs.
- */
-constexpr int kStragglerPrioPenalty = 500;
 
 } // namespace
 
@@ -226,9 +218,6 @@ MobiusExecutor::pump(int gpu)
             req.bytes = bytes;
             req.kind = TrafficKind::Parameter;
             req.priority = kPrioWeightBase + e.order;
-            if (ctx_.faults() &&
-                ctx_.faults()->computeThrottle(gpu) < 1.0)
-                req.priority += kStragglerPrioPenalty;
             req.rateCap = cfg_.weightSourceRateCap;
             req.label = strfmt("S%d.%s", e.stage,
                                e.phase == Phase::Fwd ? "fwd"

@@ -1,7 +1,8 @@
 /**
  * @file
  * Golden fingerprints: pinned digests of one run of every step entry
- * point, every serving policy and a small fleet. A refactor that
+ * point, every serving policy and a small fleet, plus the cross
+ * mapping (§3.3) chosen on a few topologies. A refactor that
  * claims "same behaviour" must leave every constant here unchanged;
  * a deliberate change to modelled behaviour updates them and says so.
  *
@@ -16,6 +17,7 @@
 
 #include "fault/fault_plan.hh"
 #include "fleet/fleet_sim.hh"
+#include "plan/mapping.hh"
 #include "runtime/api.hh"
 #include "serve/serve_sim.hh"
 
@@ -62,8 +64,7 @@ TEST(Golden, MobiusStepSpanHash)
 
 TEST(Golden, MobiusStragglerStepSpanHash)
 {
-    // A compute window on gpu1 throttles it for the whole step, so
-    // its weight prefetches take the straggler-demotion path.
+    // A compute window on gpu1 throttles it for the whole step.
     Gpt8bSetup s;
     const FaultPlan faults =
         parseFaultSpec("degrade:gpu1=0.5@0+1000", s.server);
@@ -123,4 +124,32 @@ TEST(Golden, FleetFingerprint)
     zero.system = JobSystem::DeepSpeed;
     fleet.submit(zero);
     EXPECT_EQ(fleet.run().fingerprint, 0x864531e2cb994c62ULL);
+}
+
+TEST(Golden, CrossMappingOrdersAndContentionBits)
+{
+    struct Case
+    {
+        std::vector<int> groups;
+        int stages;
+        std::vector<int> order;
+        std::uint64_t contentionBits;
+    };
+    const std::vector<Case> cases = {
+        {{4, 4}, 16, {0, 4, 1, 5, 2, 6, 3, 7}, 0x404b7c57c57c57c4ULL},
+        {{4, 4}, 43, {0, 4, 1, 5, 2, 6, 3, 7}, 0x406cb006f3a9cea5ULL},
+        {{4, 4}, 53, {0, 4, 1, 5, 2, 6, 3, 7}, 0x4073091888e2954bULL},
+        {{2, 2, 2, 2}, 34, {0, 2, 4, 6, 1, 3, 5, 7}, 0x403e341d41d41d44ULL},
+        {{2, 2, 2, 2}, 53, {0, 2, 4, 6, 1, 3, 5, 7}, 0x404d230381ac77e2ULL},
+        {{1, 3, 4}, 40, {1, 4, 0, 5, 2, 6, 3, 7}, 0x4062306ffb1e887eULL},
+        {{2, 2}, 8, {0, 2, 1, 3}, 0x4021555555555555ULL},
+    };
+    for (const Case &c : cases) {
+        const Server server = makeCommodityServer(c.groups);
+        const Mapping m = crossMapping(server.topo, c.stages).mapping;
+        EXPECT_EQ(m.gpuOrder, c.order) << "S=" << c.stages;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(m.contention),
+                  c.contentionBits)
+            << "S=" << c.stages;
+    }
 }

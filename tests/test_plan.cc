@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <functional>
 
 #include "base/logging.hh"
 #include "hw/server.hh"
+#include "oracles/mapping_reference.hh"
 #include "plan/mapping.hh"
 #include "plan/partition_algos.hh"
 #include "plan/partition_mip.hh"
@@ -323,7 +326,7 @@ TEST(Mapping, CrossMappingBeatsSequentialOn22)
     Mapping seq = sequentialMapping(s.topo, stages);
     MappingResult cross = crossMapping(s.topo, stages);
     EXPECT_LT(cross.mapping.contention, seq.contention);
-    EXPECT_EQ(cross.evaluated, 24); // 4! permutations
+    EXPECT_EQ(cross.evaluated, 3); // ABAB, AABB, ABBA
     // Adjacent stages land under different root complexes.
     for (int j = 0; j + 1 < stages; ++j) {
         int a = cross.mapping.gpuOf(j);
@@ -417,8 +420,117 @@ TEST(Mapping, EightGpuCrossMappingImproves)
     const int stages = 16;
     Mapping seq = sequentialMapping(s.topo, stages);
     MappingResult cross = crossMapping(s.topo, stages);
-    EXPECT_EQ(cross.evaluated, 40320); // 8!
+    EXPECT_EQ(cross.evaluated, 35); // C(8,4) / 2
     EXPECT_LT(cross.mapping.contention, seq.contention * 0.9);
+}
+
+TEST(Mapping, CrossMappingScoresOneOrderPerClass)
+{
+    // Orders that differ only by GPUs swapped inside a root complex
+    // or by equal-size root complexes swapped score alike, so the
+    // search scores N! / (prod |g|! * prod m_k!) orders, with m_k
+    // the number of root complexes of size k.
+    struct Case
+    {
+        std::vector<int> groups;
+        int classes;
+    };
+    const std::vector<Case> cases = {
+        {{2, 2, 2, 2}, 105},                 // 8! / 2^4 / 4!
+        {{1, 1, 1, 1, 1, 1, 1, 1}, 1},       // 8! / 8!
+        {{1, 3, 4}, 280},                    // 8! / (3! 4!)
+        {{4, 4, 4}, 5775},                   // 12! / 4!^3 / 3!
+    };
+    for (const Case &c : cases) {
+        Server s = makeCommodityServer(c.groups);
+        MappingResult cross = crossMapping(s.topo, 24);
+        EXPECT_EQ(cross.evaluated, c.classes)
+            << s.topo.numGpus() << " GPUs";
+        EXPECT_EQ(cross.mapping.numGpus(), s.topo.numGpus());
+    }
+}
+
+/** Every group vector of @p gpus GPUs with non-decreasing sizes. */
+void
+groupVectors(int gpus, int min_size, std::vector<int> &prefix,
+             std::vector<std::vector<int>> &out)
+{
+    if (gpus == 0) {
+        out.push_back(prefix);
+        return;
+    }
+    for (int size = min_size; size <= gpus; ++size) {
+        prefix.push_back(size);
+        groupVectors(gpus - size, size, prefix, out);
+        prefix.pop_back();
+    }
+}
+
+/** A server whose GPU g sits under root complex @p rc_of[g]. */
+Topology
+interleavedTopology(const std::vector<int> &rc_of)
+{
+    Topology topo;
+    const int rcs = *std::max_element(rc_of.begin(), rc_of.end()) + 1;
+    std::vector<int> nodes;
+    for (int rc = 0; rc < rcs; ++rc)
+        nodes.push_back(topo.addRootComplex("rc" + std::to_string(rc),
+                                            16e9));
+    for (std::size_t g = 0; g < rc_of.size(); ++g)
+        topo.addGpu(nodes[rc_of[g]], "gpu" + std::to_string(g), 16e9,
+                    rtx3090Ti());
+    return topo;
+}
+
+TEST(Mapping, CrossMappingMatchesExhaustiveOracle)
+{
+    // The oracle scores all N! orders, so a sweep costs N! * S^2:
+    // S = 1..70 on 7 and 8 GPUs would take minutes. Those sizes run
+    // three periods of an 8-GPU order instead; test_golden pins
+    // larger S on 4+4, 2+2+2+2 and 1+3+4.
+    std::vector<std::vector<int>> topologies;
+    for (int gpus = 2; gpus <= 8; ++gpus) {
+        std::vector<int> prefix;
+        groupVectors(gpus, 1, prefix, topologies);
+    }
+    // The same sizes in other orders: the singleton or the small
+    // root complex first and last.
+    topologies.push_back({3, 1});
+    topologies.push_back({6, 2});
+    std::vector<std::pair<std::string, Topology>> servers;
+    for (const std::vector<int> &groups : topologies) {
+        std::string name = "groups";
+        for (int g : groups)
+            name += " " + std::to_string(g);
+        servers.emplace_back(name, makeCommodityServer(groups).topo);
+    }
+    // Root complexes whose GPU indices interleave, so the next GPU
+    // of one root complex can sit below or above that of another.
+    for (const std::vector<int> &rc_of : std::vector<std::vector<int>>{
+             {0, 1, 1, 0}, {1, 0, 0, 1, 0}, {0, 1, 2, 0, 1, 2},
+             {2, 0, 1, 1, 0, 2}, {0, 1, 0, 2, 1, 3, 3, 2}}) {
+        std::string name = "rc_of";
+        for (int rc : rc_of)
+            name += " " + std::to_string(rc);
+        servers.emplace_back(name, interleavedTopology(rc_of));
+    }
+    for (const auto &[name, topo] : servers) {
+        const int max_stages = topo.numGpus() <= 6 ? 70 : 24;
+        for (int stages = 1; stages <= max_stages; ++stages) {
+            MappingResult fast = crossMapping(topo, stages);
+            MappingResult ref = crossMappingReference(topo, stages);
+            const std::string what =
+                name + ", S=" + std::to_string(stages);
+            EXPECT_EQ(fast.mapping.gpuOrder, ref.mapping.gpuOrder)
+                << what;
+            EXPECT_EQ(std::memcmp(&fast.mapping.contention,
+                                  &ref.mapping.contention,
+                                  sizeof(double)),
+                      0)
+                << what;
+            EXPECT_LE(fast.evaluated, ref.evaluated) << what;
+        }
+    }
 }
 
 } // namespace

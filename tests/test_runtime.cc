@@ -356,6 +356,36 @@ TEST(Plan, OverheadFieldsPopulated)
     EXPECT_EQ(plan.profiledLayers, 4); // layer similarity
 }
 
+TEST(Plan, MappingEvaluatedCounterRecorded)
+{
+    // One scored order per class of Eq. 13-equivalent orders:
+    // C(8,4) / 2 on 4+4.
+    Server server = makeCommodityServer({4, 4});
+    Workload work(gpt8b(), server);
+    MetricsRegistry metrics;
+    PlanOptions opts;
+    opts.metrics = &metrics;
+    planMobius(server, work.cost(), opts);
+    const Counter *evaluated =
+        metrics.findCounter("plan.mapping.evaluated");
+    ASSERT_NE(evaluated, nullptr);
+    EXPECT_EQ(evaluated->value(), 35.0);
+
+    // Sequential mapping searches nothing; a disabled registry
+    // records nothing.
+    MetricsRegistry seq_metrics;
+    opts.metrics = &seq_metrics;
+    opts.mapping = MappingAlgo::Sequential;
+    planMobius(server, work.cost(), opts);
+    EXPECT_EQ(seq_metrics.findCounter("plan.mapping.evaluated"),
+              nullptr);
+    MetricsRegistry off(false);
+    opts.metrics = &off;
+    opts.mapping = MappingAlgo::Cross;
+    planMobius(server, work.cost(), opts);
+    EXPECT_EQ(off.size(), 0u);
+}
+
 TEST(Plan, Gpt51bPlansAndRuns)
 {
     Server server = makeCommodityServer({2, 2});

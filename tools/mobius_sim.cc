@@ -382,7 +382,8 @@ main(int argc, char **argv)
         manifest.metricsFile = metrics_file;
 
         MetricsRegistry registry;
-        setup.popts.metrics = &registry; // plan.mip.* / solver.lp.*
+        // plan.mip.* / plan.mapping.* / solver.lp.*
+        setup.popts.metrics = &registry;
         RunContext ctx(server, {}, cpu_adam, &registry, {},
                        fault_plan.empty() ? nullptr : &fault_plan,
                        fault_seed);
