@@ -1,14 +1,16 @@
 /**
  * @file
- * Minimal recursive-descent JSON parser for the analysis tools.
+ * Minimal recursive-descent JSON parser and string escaper.
  *
  * The simulator hand-serialises its JSON documents (Chrome traces,
  * the metrics registry, attribution reports, bench outputs); tools
- * such as trace_diff and bench_index need to read them back. The
- * parser is deliberately small: numbers become double, object member
- * order is preserved, duplicate keys are not rejected, and \uXXXX
- * escapes decode the BMP code point as UTF-8. parse() throws
- * JsonError with a byte offset on malformed input.
+ * such as trace_diff and bench_index, and the tests, read them back.
+ * The parser is deliberately small: numbers become double, object
+ * member order is preserved, duplicate keys are not rejected, and
+ * \uXXXX escapes decode the BMP code point as UTF-8. As RFC 8259
+ * requires, control characters (U+0000-U+001F) inside strings must
+ * be escaped. parse() throws JsonError with a byte offset on
+ * malformed input.
  */
 
 #ifndef MOBIUS_BASE_JSON_HH
@@ -16,6 +18,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -73,8 +76,13 @@ struct JsonValue
 /** Parse @p text; throws JsonError on malformed input. */
 JsonValue parse(const std::string &text);
 
-/** Escape @p s for embedding inside a JSON string literal. */
-std::string escape(const std::string &s);
+/**
+ * Escape @p s for embedding inside a JSON string literal: `"` and
+ * `\` get a backslash, newline and tab become `\n` and `\t`, and
+ * any other byte below 0x20 becomes `\u00XX`. The one JSON string
+ * escaper every exporter uses.
+ */
+std::string escape(std::string_view s);
 
 } // namespace mobius::json
 

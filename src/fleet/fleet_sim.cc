@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <functional>
 
 #include <sstream>
 
+#include "base/fnv.hh"
 #include "base/logging.hh"
 #include "base/rng.hh"
 #include "simcore/arrival.hh"
@@ -27,26 +27,6 @@ orDefaultServers(std::vector<FleetServerDesc> servers)
     if (servers.empty())
         servers.push_back(FleetServerDesc{});
     return servers;
-}
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void
-fnv64(std::uint64_t &h, std::uint64_t v)
-{
-    for (int b = 0; b < 8; ++b) {
-        h ^= (v >> (8 * b)) & 0xff;
-        h *= kFnvPrime;
-    }
-}
-
-void
-fnvDouble(std::uint64_t &h, double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    fnv64(h, bits);
 }
 
 } // namespace
@@ -185,23 +165,24 @@ FleetSim::run()
     // nothing. The hook runs on the fleet event loop (the scheduler
     // is single-threaded), never on pump workers: the decision log
     // is emitted strictly in event order.
-    std::uint64_t decisionFp = kFnvOffset;
+    std::uint64_t decisionFp = fnv::kOffset;
     scheduler_.setDecisionHook([&](const SchedDecision &d) {
-        fnv64(decisionFp, static_cast<std::uint64_t>(d.kind));
-        fnvDouble(decisionFp, d.time);
-        fnv64(decisionFp, static_cast<std::uint64_t>(d.job));
-        fnv64(decisionFp, static_cast<std::uint64_t>(d.priority));
-        fnv64(decisionFp, static_cast<std::uint64_t>(d.server));
-        fnv64(decisionFp, static_cast<std::uint64_t>(d.klass));
-        fnv64(decisionFp,
-              static_cast<std::uint64_t>(d.freeInClass));
-        fnv64(decisionFp,
-              static_cast<std::uint64_t>(d.blockedHead));
-        fnv64(decisionFp, static_cast<std::uint64_t>(d.victim));
-        fnv64(decisionFp,
-              static_cast<std::uint64_t>(d.victimPriority));
-        fnvDouble(decisionFp, d.victimStart);
-        fnv64(decisionFp, d.pending);
+        fnv::mixU64(decisionFp, static_cast<std::uint64_t>(d.kind));
+        fnv::mixDouble(decisionFp, d.time);
+        fnv::mixU64(decisionFp, static_cast<std::uint64_t>(d.job));
+        fnv::mixU64(decisionFp,
+                    static_cast<std::uint64_t>(d.priority));
+        fnv::mixU64(decisionFp, static_cast<std::uint64_t>(d.server));
+        fnv::mixU64(decisionFp, static_cast<std::uint64_t>(d.klass));
+        fnv::mixU64(decisionFp,
+                    static_cast<std::uint64_t>(d.freeInClass));
+        fnv::mixU64(decisionFp,
+                    static_cast<std::uint64_t>(d.blockedHead));
+        fnv::mixU64(decisionFp, static_cast<std::uint64_t>(d.victim));
+        fnv::mixU64(decisionFp,
+                    static_cast<std::uint64_t>(d.victimPriority));
+        fnv::mixDouble(decisionFp, d.victimStart);
+        fnv::mixU64(decisionFp, d.pending);
         if (!trace_)
             return;
 
@@ -430,8 +411,8 @@ FleetSim::run()
     std::map<std::string, double> classOccupied;
     double totalOccupied = 0.0;
     double usefulSeconds = 0.0;
-    std::uint64_t fp = kFnvOffset;
-    fnv64(fp, n);
+    std::uint64_t fp = fnv::kOffset;
+    fnv::mixU64(fp, n);
     for (std::size_t i = 0; i < n; ++i) {
         FleetJobRecord &rec = records_[i];
         const JobSpec &spec = jobs_[i];
@@ -464,15 +445,15 @@ FleetSim::run()
         totalOccupied += rec.occupiedSeconds;
         usefulSeconds += spec.steps * rec.cleanStepTime;
 
-        fnv64(fp, static_cast<std::uint64_t>(rec.spec.id));
-        fnvDouble(fp, rec.arrival);
-        fnvDouble(fp, rec.start);
-        fnvDouble(fp, rec.finish);
-        fnvDouble(fp, rec.stepTime);
-        fnvDouble(fp, rec.occupiedSeconds);
-        fnv64(fp, static_cast<std::uint64_t>(rec.preemptions));
-        fnv64(fp, rec.spanCount);
-        fnv64(fp, rec.spanHash);
+        fnv::mixU64(fp, static_cast<std::uint64_t>(rec.spec.id));
+        fnv::mixDouble(fp, rec.arrival);
+        fnv::mixDouble(fp, rec.start);
+        fnv::mixDouble(fp, rec.finish);
+        fnv::mixDouble(fp, rec.stepTime);
+        fnv::mixDouble(fp, rec.occupiedSeconds);
+        fnv::mixU64(fp, static_cast<std::uint64_t>(rec.preemptions));
+        fnv::mixU64(fp, rec.spanCount);
+        fnv::mixU64(fp, rec.spanHash);
 
         if (trace_) {
             // Roll the job's residence time up into the fleet
@@ -517,7 +498,7 @@ FleetSim::run()
     // when per-job timings happen to collide, so the decision
     // digest folds into the cross-width identity token.
     m.decisionFingerprint = decisionFp;
-    fnv64(fp, decisionFp);
+    fnv::mixU64(fp, decisionFp);
     m.fingerprint = fp;
     if (trace_) {
         m.traceEvents = trace_->eventCount();

@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "base/units.hh"
 #include "obs/prof.hh"
@@ -211,18 +212,6 @@ attributeStep(const TraceRecorder &trace)
 namespace
 {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 void
 breakdownJson(std::ostringstream &os, const AttributionBreakdown &b)
 {
@@ -277,9 +266,9 @@ attributionToJson(const StepAttribution &a, int top_k)
         if (i > 0)
             os << ",";
         os << "{\"id\":" << e.id << ",\"track\":\""
-           << jsonEscape(e.track) << "\",\"name\":\""
-           << jsonEscape(e.name) << "\",\"category\":\""
-           << jsonEscape(e.category) << "\",\"gpu\":" << e.gpu
+           << json::escape(e.track) << "\",\"name\":\""
+           << json::escape(e.name) << "\",\"category\":\""
+           << json::escape(e.category) << "\",\"gpu\":" << e.gpu
            << ",\"stage\":" << e.stage << ",\"start\":" << e.start
            << ",\"end\":" << e.end
            << ",\"queueWait\":" << e.queueWait

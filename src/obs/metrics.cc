@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "base/json.hh"
+
 namespace mobius
 {
 
@@ -30,34 +32,6 @@ fmtNumber(double v)
     char buf[40];
     std::snprintf(buf, sizeof buf, "%.9g", v);
     return buf;
-}
-
-/** Escape a metric name for embedding in a JSON string literal. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s)
-    {
-        switch (c)
-        {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20)
-            {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            }
-            else
-                out += c;
-        }
-    }
-    return out;
 }
 
 /** Escape a CSV field (quote when it contains a delimiter). */
@@ -259,7 +233,7 @@ MetricsRegistry::toJson() const
     {
         out += first ? "\n" : ",\n";
         first = false;
-        out += "    \"" + jsonEscape(name) +
+        out += "    \"" + json::escape(name) +
             "\": " + fmtNumber(c->value());
     }
     out += first ? "},\n" : "\n  },\n";
@@ -270,7 +244,7 @@ MetricsRegistry::toJson() const
     {
         out += first ? "\n" : ",\n";
         first = false;
-        out += "    \"" + jsonEscape(name) +
+        out += "    \"" + json::escape(name) +
             "\": {\"value\": " + fmtNumber(g->value()) +
             ", \"min\": " + fmtNumber(g->min()) +
             ", \"max\": " + fmtNumber(g->max()) + "}";
@@ -283,7 +257,7 @@ MetricsRegistry::toJson() const
     {
         out += first ? "\n" : ",\n";
         first = false;
-        out += "    \"" + jsonEscape(name) +
+        out += "    \"" + json::escape(name) +
             "\": {\"count\": " +
             fmtNumber(static_cast<double>(h->count())) +
             ", \"min\": " + fmtNumber(h->min()) +

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "base/units.hh"
 
@@ -137,18 +138,6 @@ reschedule(const SpanDag &dag, const std::vector<double> &dur)
         makespan = std::max(makespan, end[i]);
     }
     return makespan;
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 std::string
@@ -445,7 +434,7 @@ whatIfResultJson(const WhatIfResult &r)
         const WhatIfSpec &s = r.specs[i];
         if (i > 0)
             os << ",";
-        os << "{\"resource\":\"" << jsonEscape(s.resource)
+        os << "{\"resource\":\"" << json::escape(s.resource)
            << "\",\"kind\":\"" << resourceKindName(s.kind)
            << "\",\"factor\":" << s.factor << "}";
     }
@@ -469,7 +458,7 @@ whatIfSweepJson(const WhatIfSweep &s)
 {
     std::ostringstream os;
     os.precision(17);
-    os << "{\"resource\":\"" << jsonEscape(s.spec.resource)
+    os << "{\"resource\":\"" << json::escape(s.spec.resource)
        << "\",\"lo\":" << s.spec.lo << ",\"hi\":" << s.spec.hi
        << ",\"steps\":" << s.spec.steps
        << ",\"sensitivity\":" << s.sensitivity() << ",\"points\":[";

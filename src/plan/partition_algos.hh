@@ -56,13 +56,6 @@ PartitionResult maxStagePartition(const PipelineCostEvaluator &eval);
 PartitionResult minStagePartition(const PipelineCostEvaluator &eval);
 
 /**
- * Exact optimum by enumerating every composition; only for models
- * with at most @p max_layers layers (exponential).
- */
-PartitionResult bruteForcePartition(const PipelineCostEvaluator &eval,
-                                    int max_layers = 20);
-
-/**
  * Contiguous partition into exactly @p num_stages stages minimising
  * the maximum per-stage compute time (fwd + bwd) — the classic linear
  * partitioning DP used for all-in-GPU-memory pipelines like GPipe.

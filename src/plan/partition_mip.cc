@@ -1,14 +1,12 @@
 #include "plan/partition_mip.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <exception>
-#include <thread>
 
 #include "base/logging.hh"
 #include "plan/partition_algos.hh"
+#include "simcore/job_pump.hh"
 
 namespace mobius
 {
@@ -347,54 +345,19 @@ exactMipPartition(const PipelineCostEvaluator &eval, int max_stages,
 
     std::vector<StageSolve> solves(static_cast<std::size_t>(count));
 
-    int threads = opts.threads;
-    if (threads <= 0) {
-        threads =
-            static_cast<int>(std::thread::hardware_concurrency());
-        if (threads <= 0)
-            threads = 1;
-    }
-    threads = std::min(threads, count);
-
-    // Each stage count is an independent MIP, so workers just pull
-    // the next s off a shared ticket. All output is per-slot and the
-    // reduction below scans slots in stage-count order, which keeps
-    // the chosen partition bit-identical for any thread count.
-    // fatal() (e.g. a non-uniform layer stack) must reach the caller
-    // as a FatalError, not std::terminate a worker thread, so each
-    // slot captures its exception for a post-join rethrow.
-    std::vector<std::exception_ptr> errors(
-        static_cast<std::size_t>(count));
-    std::atomic<int> next{0};
-    auto run = [&] {
-        while (true) {
-            const int k = next.fetch_add(1);
-            if (k >= count)
-                break;
-            const int s = s_lo + k;
-            StageSolve &out = solves[static_cast<std::size_t>(k)];
-            try {
-                solveOneStageCount(eval, s, opts, out);
-            } catch (...) {
-                errors[static_cast<std::size_t>(k)] =
-                    std::current_exception();
-            }
-        }
-    };
-    if (threads <= 1) {
-        run();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<std::size_t>(threads));
-        for (int i = 0; i < threads; ++i)
-            pool.emplace_back(run);
-        for (auto &th : pool)
-            th.join();
-    }
-    for (const std::exception_ptr &err : errors) {
-        if (err)
-            std::rethrow_exception(err);
-    }
+    // Each stage count is an independent MIP. All output is per-slot
+    // and the reduction below scans slots in stage-count order, which
+    // keeps the chosen partition bit-identical for any thread count.
+    // runAll rethrows the lowest-index exception after the join, so
+    // fatal() (e.g. a non-uniform layer stack) reaches the caller as
+    // a FatalError.
+    const int threads = JobPump::runAll(
+        count,
+        [&](int k) {
+            solveOneStageCount(eval, s_lo + k, opts,
+                               solves[static_cast<std::size_t>(k)]);
+        },
+        opts.threads);
 
     // MetricsRegistry is not thread-safe: record everything here,
     // after the join, in stage-count order.

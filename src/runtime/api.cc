@@ -39,7 +39,7 @@ planMobius(const Server &server, const CostModel &cost,
     const int n = server.topo.numGpus();
 
     // 1. Profile (layer similarity keeps this flat across depths).
-    ProfileResult prof = profileModel(cost, opts.profiler);
+    ProfileResult prof = profileModel(cost);
     plan.profilingSeconds = prof.profilingTime;
     plan.profiledLayers = prof.profiledLayers;
 
@@ -48,8 +48,7 @@ planMobius(const Server &server, const CostModel &cost,
     PipelineEnv env;
     env.numGpus = n;
     env.gpuMemBytes = server.topo.gpuSpec(0).memBytes;
-    env.avgBandwidth =
-        opts.avgBandwidth > 0 ? opts.avgBandwidth : kPcie3x16Bw;
+    env.avgBandwidth = kPcie3x16Bw;
     PipelineCostEvaluator eval(cost, env);
 
     PartitionResult part;
@@ -58,10 +57,9 @@ planMobius(const Server &server, const CostModel &cost,
         part = mipPartition(eval);
         break;
       case PartitionAlgo::ExactMip: {
-        const int max_stages =
-            opts.maxStages > 0 ? opts.maxStages : cost.numLayers();
+        // Sweep every stage count up to one layer per stage.
         ExactMipResult exact = exactMipPartition(
-            eval, max_stages, opts.mip, opts.metrics);
+            eval, cost.numLayers(), opts.mip, opts.metrics);
         if (!exact.solved) {
             fatal("exact MIP partition found no feasible partition "
                   "within its node/time budget");
@@ -117,8 +115,8 @@ StepRunResult
 runMobiusStepEx(const Server &server, const CostModel &cost,
                 const MobiusPlan &plan, const StepRunOptions &opts)
 {
-    RunContext ctx(server, opts.xfer, opts.cpuAdamThroughput,
-                   opts.metrics, {}, opts.faults, opts.faultSeed);
+    RunContext ctx(server, {}, opts.cpuAdamThroughput, opts.metrics, {},
+                   opts.faults, opts.faultSeed);
     MobiusExecutor exec(ctx, cost, plan.partition, plan.mapping,
                         opts.mobius);
     StepRunResult res;
@@ -134,8 +132,8 @@ StepRunResult
 runZeroStepEx(const Server &server, const CostModel &cost,
               const StepRunOptions &opts)
 {
-    RunContext ctx(server, opts.xfer, opts.cpuAdamThroughput,
-                   opts.metrics, {}, opts.faults, opts.faultSeed);
+    RunContext ctx(server, {}, opts.cpuAdamThroughput, opts.metrics, {},
+                   opts.faults, opts.faultSeed);
     ZeroHeteroExecutor exec(ctx, cost, opts.zero);
     StepRunResult res;
     res.stats = exec.run();
@@ -147,24 +145,22 @@ runZeroStepEx(const Server &server, const CostModel &cost,
 }
 
 StepStats
-runTensorParallelStep(const Server &server, const CostModel &cost,
-                      TransferEngineConfig xfer_cfg)
+runTensorParallelStep(const Server &server, const CostModel &cost)
 {
-    RunContext ctx(server, xfer_cfg);
+    RunContext ctx(server);
     TensorParallelExecutor exec(ctx, cost);
     return exec.run();
 }
 
 StepStats
 runPipelineStep(const Server &server, const CostModel &cost,
-                PipelineSchedule schedule,
-                TransferEngineConfig xfer_cfg)
+                PipelineSchedule schedule)
 {
     const int n = server.topo.numGpus();
     Partition partition = balancedComputePartition(cost, n);
     Mapping mapping = sequentialMapping(server.topo,
                                         static_cast<int>(n));
-    RunContext ctx(server, xfer_cfg);
+    RunContext ctx(server);
     PipelineExecutor exec(ctx, cost, std::move(partition),
                           std::move(mapping), schedule);
     return exec.run();

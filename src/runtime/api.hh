@@ -86,15 +86,9 @@ struct PlanOptions
 {
     PartitionAlgo partition = PartitionAlgo::Mip;
     MappingAlgo mapping = MappingAlgo::Cross;
-    ProfilerConfig profiler;
-    /** Average bandwidth for the MIP's B constant; 0 = PCIe x16. */
-    double avgBandwidth = 0.0;
     /** Branch-and-bound budget and stage-sweep thread count, used
      * when partition == PartitionAlgo::ExactMip. */
     MipOptions mip;
-    /** Largest stage count the exact MIP sweeps; 0 = layer count.
-     * Ignored by the other partition algorithms. */
-    int maxStages = 0;
     /** Optional registry for plan.mip.* / solver.lp.* metrics from
      * the exact MIP solve and the plan.mapping.evaluated count of
      * cross mapping; null or disabled = no recording. */
@@ -127,7 +121,6 @@ MobiusPlan planMobius(const Server &server, const CostModel &cost,
  */
 struct StepRunOptions
 {
-    TransferEngineConfig xfer;
     MobiusExecutorConfig mobius; //!< used by runMobiusStepEx only
     ZeroExecutorConfig zero;     //!< used by runZeroStepEx only
     /** CPU optimizer params/s; 0 disables the CPU-update model. */
@@ -182,8 +175,7 @@ StepRunResult runZeroStepEx(const Server &server,
  * does not fit.
  */
 StepStats runTensorParallelStep(const Server &server,
-                                const CostModel &cost,
-                                TransferEngineConfig xfer_cfg = {});
+                                const CostModel &cost);
 
 /**
  * Execute one all-in-GPU-memory pipeline step (GPipe or DeepSpeed
@@ -191,8 +183,7 @@ StepStats runTensorParallelStep(const Server &server,
  * the Fig. 5 OOM entries.
  */
 StepStats runPipelineStep(const Server &server, const CostModel &cost,
-                          PipelineSchedule schedule,
-                          TransferEngineConfig xfer_cfg = {});
+                          PipelineSchedule schedule);
 
 } // namespace mobius
 

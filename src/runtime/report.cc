@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "base/json.hh"
+
 namespace mobius
 {
 
@@ -10,7 +12,7 @@ stepStatsToJson(const StepStats &stats, Bytes model_bytes_fp32)
 {
     std::ostringstream os;
     os.precision(9);
-    os << "{\"system\":\"" << stats.system << "\""
+    os << "{\"system\":\"" << json::escape(stats.system) << "\""
        << ",\"step_seconds\":" << stats.stepTime
        << ",\"num_gpus\":" << stats.numGpus
        << ",\"traffic_bytes\":" << stats.traffic.totalBytes()
@@ -80,16 +82,17 @@ std::string
 manifestToJson(const RunManifest &m)
 {
     std::ostringstream os;
-    os << "{\"model\":\"" << m.model << "\""
-       << ",\"topo\":\"" << m.topo << "\""
-       << ",\"system\":\"" << m.system << "\""
-       << ",\"partition\":\"" << m.partition << "\""
-       << ",\"mapping\":\"" << m.mapping << "\""
+    os << "{\"model\":\"" << json::escape(m.model) << "\""
+       << ",\"topo\":\"" << json::escape(m.topo) << "\""
+       << ",\"system\":\"" << json::escape(m.system) << "\""
+       << ",\"partition\":\"" << json::escape(m.partition) << "\""
+       << ",\"mapping\":\"" << json::escape(m.mapping) << "\""
        << ",\"microbatch_size\":" << m.microbatchSize
        << ",\"num_microbatches\":" << m.numMicrobatches
        << ",\"steps\":" << m.steps
-       << ",\"trace_file\":\"" << m.traceFile << "\""
-       << ",\"metrics_file\":\"" << m.metricsFile << "\"}";
+       << ",\"trace_file\":\"" << json::escape(m.traceFile) << "\""
+       << ",\"metrics_file\":\"" << json::escape(m.metricsFile)
+       << "\"}";
     return os.str();
 }
 

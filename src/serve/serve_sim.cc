@@ -55,7 +55,7 @@ struct ServeSim::Impl
           server(makeCommodityServer(opts.groups)),
           work(opts.model, server),
           plan(buildServePlan(work.cost(), server.topo)),
-          ctx(server, opts.xferCfg, 0.0, opts.metrics, {},
+          ctx(server, {}, 0.0, opts.metrics, {},
               &opts.faults, opts.faultSeed),
           batcher(opts.batch),
           gather(opts.placement.policy == ServePlacement::ZeroGather)

@@ -1,38 +1,13 @@
 #include "serve/slo.hh"
 
 #include <cmath>
-#include <cstring>
 
+#include "base/fnv.hh"
 #include "obs/metrics.hh"
 #include "obs/prof.hh"
 
 namespace mobius
 {
-
-namespace
-{
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void
-fnv64(std::uint64_t &h, std::uint64_t v)
-{
-    for (int b = 0; b < 8; ++b) {
-        h ^= (v >> (8 * b)) & 0xff;
-        h *= kFnvPrime;
-    }
-}
-
-void
-fnvDouble(std::uint64_t &h, double v)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    fnv64(h, bits);
-}
-
-} // namespace
 
 double
 effectiveSlo(const ServeRequest &spec, const SloConfig &slo)
@@ -43,25 +18,26 @@ effectiveSlo(const ServeRequest &spec, const SloConfig &slo)
 std::uint64_t
 serveFingerprint(const std::vector<RequestRecord> &records)
 {
-    std::uint64_t h = kFnvOffset;
-    fnv64(h, records.size());
+    std::uint64_t h = fnv::kOffset;
+    fnv::mixU64(h, records.size());
     for (const RequestRecord &r : records) {
-        fnv64(h, static_cast<std::uint64_t>(
-                     static_cast<std::int64_t>(r.spec.id)));
-        fnvDouble(h, r.spec.arrival);
-        fnv64(h, static_cast<std::uint64_t>(r.spec.promptTokens));
-        fnvDouble(h, r.admit);
-        fnvDouble(h, r.firstToken);
-        fnvDouble(h, r.finish);
-        fnv64(h, static_cast<std::uint64_t>(r.generated));
-        fnv64(h, static_cast<std::uint64_t>(r.iterations));
-        fnv64(h, static_cast<std::uint64_t>(
-                     static_cast<std::int64_t>(r.gpu)));
-        fnv64(h, r.sloMet ? 1 : 0);
-        fnvDouble(h, r.lat.queue);
-        fnvDouble(h, r.lat.prefill);
-        fnvDouble(h, r.lat.decode);
-        fnvDouble(h, r.lat.swapStall);
+        fnv::mixU64(h, static_cast<std::uint64_t>(
+                           static_cast<std::int64_t>(r.spec.id)));
+        fnv::mixDouble(h, r.spec.arrival);
+        fnv::mixU64(h,
+                    static_cast<std::uint64_t>(r.spec.promptTokens));
+        fnv::mixDouble(h, r.admit);
+        fnv::mixDouble(h, r.firstToken);
+        fnv::mixDouble(h, r.finish);
+        fnv::mixU64(h, static_cast<std::uint64_t>(r.generated));
+        fnv::mixU64(h, static_cast<std::uint64_t>(r.iterations));
+        fnv::mixU64(h, static_cast<std::uint64_t>(
+                           static_cast<std::int64_t>(r.gpu)));
+        fnv::mixU64(h, r.sloMet ? 1 : 0);
+        fnv::mixDouble(h, r.lat.queue);
+        fnv::mixDouble(h, r.lat.prefill);
+        fnv::mixDouble(h, r.lat.decode);
+        fnv::mixDouble(h, r.lat.swapStall);
     }
     return h;
 }

@@ -1,10 +1,11 @@
 #include "simcore/trace.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 #include <unordered_map>
 
+#include "base/fnv.hh"
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "base/units.hh"
 #include "obs/prof.hh"
@@ -200,23 +201,6 @@ TraceRecorder::named(const std::string &name) const
     return out;
 }
 
-namespace
-{
-
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 TraceRecorder::toChromeJson(const std::string &metadata_json) const
 {
@@ -249,14 +233,14 @@ TraceRecorder::toChromeJson(const std::string &metadata_json) const
         first = false;
         os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,"
            << "\"tid\":" << tid << ",\"args\":{\"name\":\""
-           << jsonEscape(strings_[track]) << "\"}}";
+           << json::escape(strings_[track]) << "\"}}";
     }
     for (const auto &rec : spans_) {
         if (!first)
             os << ",";
         first = false;
-        os << "{\"name\":\"" << jsonEscape(nameOf(rec))
-           << "\",\"cat\":\"" << jsonEscape(strings_[rec.category])
+        os << "{\"name\":\"" << json::escape(nameOf(rec))
+           << "\",\"cat\":\"" << json::escape(strings_[rec.category])
            << "\",\"ph\":\"X\",\"pid\":1,\"tid\":"
            << tids.at(rec.track) << ",\"ts\":" << rec.start * 1e6
            << ",\"dur\":" << (rec.end - rec.start) * 1e6
@@ -306,7 +290,7 @@ TraceRecorder::toChromeJson(const std::string &metadata_json) const
         if (!first)
             os << ",";
         first = false;
-        os << "{\"name\":\"" << jsonEscape(c.name)
+        os << "{\"name\":\"" << json::escape(c.name)
            << "\",\"ph\":\"C\",\"pid\":1,\"ts\":" << c.time * 1e6
            << ",\"args\":{\"value\":" << c.value << "}}";
     }
@@ -362,65 +346,28 @@ buildSpanDag(const TraceRecorder &trace)
     return dag;
 }
 
-namespace
-{
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-void
-fnvBytes(std::uint64_t &h, const void *data, std::size_t n)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= kFnvPrime;
-    }
-}
-
-void
-fnvString(std::uint64_t &h, const std::string &s)
-{
-    std::uint64_t len = s.size();
-    fnvBytes(h, &len, sizeof(len));
-    fnvBytes(h, s.data(), s.size());
-}
-
-void
-fnvDouble(std::uint64_t &h, double v)
-{
-    // Hash the bit pattern, not the value: the fingerprint's job is
-    // byte-identity, so -0.0 vs 0.0 or NaN payloads must distinguish.
-    static_assert(sizeof(double) == sizeof(std::uint64_t));
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    fnvBytes(h, &bits, sizeof(bits));
-}
-
-} // namespace
-
 std::uint64_t
 spanFingerprint(const TraceRecorder &trace)
 {
-    std::uint64_t h = kFnvOffset;
+    std::uint64_t h = fnv::kOffset;
     const std::size_t n = trace.spanCount();
-    fnvBytes(h, &n, sizeof(n));
+    fnv::mixU64(h, n);
     for (std::size_t i = 0; i < n; ++i) {
         TraceSpan s = trace.span(i);
-        fnvString(h, s.track);
-        fnvString(h, s.name);
-        fnvString(h, s.category);
-        fnvDouble(h, s.start);
-        fnvDouble(h, s.end);
-        fnvDouble(h, s.queuedAt);
-        fnvDouble(h, s.work);
-        std::int64_t gpu = s.gpu, stage = s.stage;
-        fnvBytes(h, &gpu, sizeof(gpu));
-        fnvBytes(h, &stage, sizeof(stage));
-        std::uint64_t deps = s.deps.size();
-        fnvBytes(h, &deps, sizeof(deps));
+        fnv::mixString(h, s.track);
+        fnv::mixString(h, s.name);
+        fnv::mixString(h, s.category);
+        fnv::mixDouble(h, s.start);
+        fnv::mixDouble(h, s.end);
+        fnv::mixDouble(h, s.queuedAt);
+        fnv::mixDouble(h, s.work);
+        fnv::mixU64(h, static_cast<std::uint64_t>(
+                           static_cast<std::int64_t>(s.gpu)));
+        fnv::mixU64(h, static_cast<std::uint64_t>(
+                           static_cast<std::int64_t>(s.stage)));
+        fnv::mixU64(h, s.deps.size());
         for (SpanId d : s.deps)
-            fnvBytes(h, &d, sizeof(d));
+            fnv::mixU64(h, d);
     }
     return h;
 }

@@ -153,7 +153,7 @@ TEST(Json, ParsesScalarsObjectsAndArrays)
 
 TEST(Json, StringEscapesRoundTrip)
 {
-    std::string raw = "a\"b\\c\n\t<->";
+    std::string raw = "a\"b\\c\n\t\x01<->";
     json::JsonValue v =
         json::parse("{\"s\": \"" + json::escape(raw) + "\"}");
     EXPECT_EQ(v.at("s").string, raw);
@@ -168,7 +168,7 @@ TEST(Json, MalformedInputThrowsJsonError)
     for (const char *bad :
          {"", "{", "[1,", "{\"a\":}", "{\"a\" 1}", "tru",
           "\"unterminated", "{\"a\":1} trailing", "[1 2]",
-          "{'a':1}"}) {
+          "{'a':1}", "\"a\nb\""}) {
         EXPECT_THROW(json::parse(bad), json::JsonError)
             << "accepted '" << bad << "'";
     }

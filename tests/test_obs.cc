@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "json_test_util.hh"
+#include "base/json.hh"
 #include "obs/metrics.hh"
 #include "runtime/api.hh"
 #include "runtime/mobius_executor.hh"
@@ -237,8 +237,8 @@ TEST(Export, JsonParsesAndRoundTripsEscapedNames)
     reg.gauge("plain").set(2.5);
     reg.histogram("h").record(1.0);
 
-    testjson::JsonValue doc;
-    ASSERT_NO_THROW(doc = testjson::parseJson(reg.toJson()));
+    json::JsonValue doc;
+    ASSERT_NO_THROW(doc = json::parse(reg.toJson()));
     const auto &counters = doc.at("counters");
     ASSERT_TRUE(counters.has("weird\"name\\here"));
     EXPECT_DOUBLE_EQ(counters.at("weird\"name\\here").number,

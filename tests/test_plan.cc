@@ -13,6 +13,7 @@
 #include "base/logging.hh"
 #include "hw/server.hh"
 #include "oracles/mapping_reference.hh"
+#include "oracles/partition_reference.hh"
 #include "plan/mapping.hh"
 #include "plan/partition_algos.hh"
 #include "plan/partition_mip.hh"

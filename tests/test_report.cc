@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "base/args.hh"
+#include "base/json.hh"
 #include "base/logging.hh"
 #include "runtime/report.hh"
 
@@ -127,6 +128,21 @@ TEST(Report, ManifestJsonHasStableFields)
     EXPECT_NE(json.find("\"steps\":3"), std::string::npos);
     EXPECT_NE(json.find("\"trace_file\":\"out.json\""),
               std::string::npos);
+}
+
+TEST(Report, ManifestJsonEscapesPaths)
+{
+    // User-supplied paths may hold '"' and '\'; the manifest must
+    // still parse and give them back byte for byte.
+    RunManifest m;
+    m.model = "gpt8b";
+    m.traceFile = "a\"b\\c.json";
+    m.metricsFile = "m\\\"x.json";
+    json::JsonValue v;
+    ASSERT_NO_THROW(v = json::parse(manifestToJson(m)));
+    EXPECT_EQ(v.at("trace_file").string, m.traceFile);
+    EXPECT_EQ(v.at("metrics_file").string, m.metricsFile);
+    EXPECT_EQ(v.at("model").string, "gpt8b");
 }
 
 TEST(Report, StepStatsJsonFields)

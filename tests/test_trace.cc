@@ -11,8 +11,8 @@
 #include <map>
 #include <set>
 
+#include "base/json.hh"
 #include "base/logging.hh"
-#include "json_test_util.hh"
 #include "runtime/api.hh"
 #include "simcore/trace.hh"
 
@@ -184,20 +184,25 @@ TEST(TraceRecorder, ChromeJsonParsesAndRoundTripsEscapes)
         mkSpan("track\"x\\y", "B", "transfer", 0.5, 1.0);
     b.deps = {a};
     rec.record(b);
+    rec.record(mkSpan("gpu0.compute", "line\nbreak\ttab", "compute",
+                      1.0, 1.5));
     rec.recordCounter({"depth\"q", 0.1, 2.0});
 
-    testjson::JsonValue doc;
-    ASSERT_NO_THROW(doc = testjson::parseJson(rec.toChromeJson()));
+    json::JsonValue doc;
+    ASSERT_NO_THROW(doc = json::parse(rec.toChromeJson()));
     const auto &events = doc.at("traceEvents");
     ASSERT_TRUE(events.isArray());
 
-    bool name_ok = false, track_ok = false, counter_ok = false;
+    bool name_ok = false, ctrl_ok = false, track_ok = false;
+    bool counter_ok = false;
     int flow_s = 0, flow_f = 0;
     for (const auto &e : events.array) {
         const std::string &ph = e.at("ph").string;
         const std::string &name = e.at("name").string;
         if (ph == "X" && name == "quote\" back\\sl")
             name_ok = true;
+        if (ph == "X" && name == "line\nbreak\ttab")
+            ctrl_ok = true;
         if (ph == "M" &&
             e.at("args").at("name").string == "track\"x\\y") {
             track_ok = true;
@@ -212,6 +217,7 @@ TEST(TraceRecorder, ChromeJsonParsesAndRoundTripsEscapes)
             ++flow_f;
     }
     EXPECT_TRUE(name_ok);    // '"' and '\' survive the round trip
+    EXPECT_TRUE(ctrl_ok);    // so do control characters
     EXPECT_TRUE(track_ok);
     EXPECT_TRUE(counter_ok);
     // One flow pair per dependency edge.

@@ -92,6 +92,7 @@
 #include <memory>
 
 #include "base/args.hh"
+#include "base/json.hh"
 #include "fault/fault_plan.hh"
 #include "obs/critical_path.hh"
 #include "obs/metrics.hh"
@@ -451,7 +452,8 @@ main(int argc, char **argv)
         if (json) {
             std::printf("{\"server\":\"%s\",\"model\":\"%s\","
                         "\"manifest\":%s,\"stats\":%s",
-                        server.name.c_str(), model.name.c_str(),
+                        json::escape(server.name).c_str(),
+                        json::escape(model.name).c_str(),
                         manifestToJson(manifest).c_str(),
                         stepStatsToJson(stats, p32).c_str());
             if (!plan_json.empty())
@@ -483,7 +485,8 @@ main(int argc, char **argv)
         } else {
             std::printf("server: %s\nmodel:  %s (%s FP32)\n"
                         "system: %s\n\n",
-                        server.name.c_str(), model.name.c_str(),
+                        json::escape(server.name).c_str(),
+                        json::escape(model.name).c_str(),
                         formatBytes(p32).c_str(),
                         stats.system.c_str());
             std::printf("step time       : %s\n",
