@@ -33,8 +33,9 @@
  *
  *  4. Timeline tracing overhead + identity. The cached-serial
  *     section-1 fleet reruns with FleetOptions::trace enabled:
- *     recording overhead must stay <= 5% CPU (min of 2 repeats
- *     each way; the `fleet.trace.overhead` scalar), tracing must
+ *     recording overhead must stay <= 5% CPU (min of 5
+ *     interleaved repeats each way; the `fleet.trace.overhead`
+ *     scalar), tracing must
  *     not perturb the run (traced and untraced fingerprints
  *     bit-identical), the section-3 fleet's decision-log/report
  *     JSONL must be byte-identical across thread widths and with
@@ -90,6 +91,8 @@ constexpr double kMinHitRate = 0.90;
  *  so micro-noise on a sub-second baseline cannot trip the gate. */
 constexpr double kMaxTraceOverhead = 0.05;
 constexpr double kTraceOverheadSlack = 0.02;
+/** Untraced/traced run pairs the overhead gate takes the min over. */
+constexpr int kTraceRepeats = 5;
 /** Per-job attribution drift bound: |sum(categories) - jct|. */
 constexpr double kMaxAttribDrift = 1e-9;
 
@@ -373,22 +376,23 @@ main(int argc, char **argv)
         tcfg.enabled = true;
 
         // Recording overhead on the cached-serial homogeneous
-        // fleet, min CPU of 2 repeats each way (std::clock, so a
-        // loaded `ctest -j` cannot fail the gate on wall noise).
+        // fleet: min CPU (std::clock, so a loaded `ctest -j` cannot
+        // fail the gate on wall noise) of kTraceRepeats runs each
+        // way, interleaved untraced/traced so a burst of machine
+        // load slows both sides instead of one.
         double base_cpu = 1e300, traced_cpu = 1e300;
         FleetMetrics base_m, traced_m;
         std::unique_ptr<FleetSim> traced_homo;
-        for (int rep = 0; rep < 2; ++rep) {
+        for (int rep = 0; rep < kTraceRepeats; ++rep) {
             auto sim = makeHomogeneous(jobs, 1, true,
                                        JobSystem::Mobius);
             FleetRun r = timedRun(*sim);
             base_cpu = std::min(base_cpu, r.cpu);
             base_m = r.m;
-        }
-        for (int rep = 0; rep < 2; ++rep) {
+
             traced_homo = makeHomogeneous(jobs, 1, true,
                                           JobSystem::Mobius, tcfg);
-            FleetRun r = timedRun(*traced_homo);
+            r = timedRun(*traced_homo);
             traced_cpu = std::min(traced_cpu, r.cpu);
             traced_m = r.m;
         }

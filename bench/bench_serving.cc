@@ -41,7 +41,9 @@
  *
  *  5. Width determinism. The mid-load Mobius sim fanned out via
  *     JobPump::runAll at several worker widths: every slot's request
- *     fingerprint must be bit-identical to a serial run.
+ *     fingerprint must be bit-identical to a serial run. The serial
+ *     run also reports deterministic work counters (rate solves,
+ *     flows they touched, events executed).
  *
  * Usage: bench_serving [--quick] [--out FILE] [--threads N] [--prof]
  *
@@ -345,16 +347,27 @@ main(int argc, char **argv)
         // --- Section 5: determinism across worker widths.
         bench::section("Serving: fingerprint identity across "
                        "thread widths");
-        auto midFingerprint = [&]() {
-            ServeSim sim(
-                bigOptions(ServePlacement::MobiusSwap, slo));
+        auto runMid = [&](ServeSim &sim) {
             sim.submitOpenLoop(protoReq(prompt, gen),
                                reqs_per_load,
                                {{midpt.rate, 1.0}}, 77);
             return sim.run().fingerprint;
         };
+        auto midFingerprint = [&]() {
+            ServeSim sim(
+                bigOptions(ServePlacement::MobiusSwap, slo));
+            return runMid(sim);
+        };
         const std::uint64_t want = midpt.mobius.fingerprint;
-        bool ident_ok = midFingerprint() == want;
+        // The serial run also yields the deterministic work counts:
+        // equal across builds that simulate the same thing, however
+        // fast they do it.
+        ServeSim counted(bigOptions(ServePlacement::MobiusSwap, slo));
+        bool ident_ok = runMid(counted) == want;
+        const FairShareActivity mid_xfer =
+            counted.ctx().xfer().fairShareActivity();
+        const std::uint64_t mid_events =
+            counted.ctx().queue().executed();
         for (int w : widths) {
             std::vector<std::uint64_t> got(4, 0);
             JobPump::runAll(
@@ -374,6 +387,11 @@ main(int argc, char **argv)
         std::printf("} x 4 replicas: %s\n",
                     ident_ok ? "bit-identical"
                              : "NONDETERMINISTIC");
+        std::printf("  work: %llu rate solves touching %llu flows, "
+                    "%llu events\n",
+                    (unsigned long long)mid_xfer.solves,
+                    (unsigned long long)mid_xfer.flowsTouched,
+                    (unsigned long long)mid_events);
 
         const bool ok = oom_ok && goodput_ok && monotone_ok &&
             sum_ok && host_ok && adaptive_ok && faults_ok &&
@@ -428,6 +446,13 @@ main(int argc, char **argv)
             (unsigned long long)hurt.faultRetries, hurt.e2eP99);
         json += strfmt(",\n  \"serve_worst_sum_drift\": %.17g",
                        worst_drift);
+        json += strfmt(
+            ",\n  \"serve_midload_xfer_solves\": %llu"
+            ",\n  \"serve_midload_xfer_flows_touched\": %llu"
+            ",\n  \"serve_midload_events\": %llu",
+            (unsigned long long)mid_xfer.solves,
+            (unsigned long long)mid_xfer.flowsTouched,
+            (unsigned long long)mid_events);
         json += strfmt(
             ",\n  \"fingerprint\": \"%016llx\"",
             (unsigned long long)want);

@@ -1,6 +1,9 @@
 #include "model/model.hh"
 
 #include <set>
+#include <utility>
+
+#include "base/logging.hh"
 
 namespace mobius
 {
@@ -68,6 +71,17 @@ table3Models()
 ModelDesc
 makeGptModel(const GptConfig &cfg)
 {
+    const std::pair<const char *, int> dims[] = {
+        {"hidden", cfg.hidden}, {"heads", cfg.heads},
+        {"numBlocks", cfg.numBlocks}, {"seqLen", cfg.seqLen},
+        {"vocab", cfg.vocab}, {"microbatchSize", cfg.microbatchSize},
+    };
+    for (const auto &[what, value] : dims) {
+        if (value <= 0)
+            fatal("model '%s': %s must be positive, got %d",
+                  cfg.name.c_str(), what, value);
+    }
+
     ModelDesc m;
     m.name = cfg.name;
     m.seqLen = cfg.seqLen;

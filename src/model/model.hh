@@ -105,7 +105,11 @@ GptConfig gpt51b();
 /** All four Table 3 configs in paper order. */
 std::vector<GptConfig> table3Models();
 
-/** Build the layer stack for a GPT-like config. */
+/**
+ * Build the layer stack for a GPT-like config. fatal() unless
+ * hidden, heads, numBlocks, seqLen, vocab and microbatchSize are all
+ * positive.
+ */
 ModelDesc makeGptModel(const GptConfig &cfg);
 
 } // namespace mobius

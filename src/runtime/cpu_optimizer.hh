@@ -37,11 +37,17 @@ class CpuOptimizer
     /**
      * @param throughput parameters updated per second; 0 disables
      *                   the model (apply() completes immediately).
+     *                   fatal() when negative or NaN.
      */
     CpuOptimizer(EventQueue &queue, double throughput,
                  TraceRecorder *trace = nullptr)
         : queue_(queue), throughput_(throughput), trace_(trace)
-    {}
+    {
+        if (!(throughput >= 0.0))
+            fatal("CPU-Adam throughput must be >= 0 params/s "
+                  "(0 disables it), got %g",
+                  throughput);
+    }
 
     /** @return true when a CPU-update cost model is configured. */
     bool enabled() const { return throughput_ > 0.0; }

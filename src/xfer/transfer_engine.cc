@@ -72,7 +72,7 @@ TransferEngine::setLinkCapacityFactor(int link, double factor)
         poolCapacity_[pool] = basePoolCapacity_[pool] * factor;
         seeds.push_back(static_cast<int>(pool));
     }
-    updateRates(seeds, 0);
+    updateRates(seeds, nullptr);
 }
 
 FlowId
@@ -221,11 +221,10 @@ TransferEngine::beginSetup(Flow &flow)
 }
 
 void
-TransferEngine::addToPools(const Flow &flow)
+TransferEngine::addToPools(Flow &flow)
 {
     for (int pool : flow.pools)
-        poolUsers_[static_cast<std::size_t>(pool)].push_back(
-            flow.id);
+        poolUsers_[static_cast<std::size_t>(pool)].push_back(&flow);
     ++movingCount_;
 }
 
@@ -234,7 +233,7 @@ TransferEngine::removeFromPools(const Flow &flow)
 {
     for (int pool : flow.pools) {
         auto &users = poolUsers_[static_cast<std::size_t>(pool)];
-        users.erase(std::find(users.begin(), users.end(), flow.id));
+        users.erase(std::find(users.begin(), users.end(), &flow));
     }
     --movingCount_;
 }
@@ -252,12 +251,12 @@ TransferEngine::beginData(FlowId id)
         finish(id);
         return;
     }
-    updateRates(flow.pools, id);
+    updateRates(flow.pools, &flow);
 }
 
 void
 TransferEngine::updateRates(const std::vector<int> &seed_pools,
-                            FlowId seed_flow)
+                            Flow *seed_flow)
 {
     MOBIUS_PROF_ZONE("xfer.update_rates");
     // Walk the connected component of moving flows reachable from
@@ -277,20 +276,20 @@ TransferEngine::updateRates(const std::vector<int> &seed_pools,
     auto visitFlow = [this, &visitPool](Flow &f) {
         if (f.mark != walkEpoch_) {
             f.mark = walkEpoch_;
-            compFlows_.push_back(f.id);
+            compFlows_.push_back(&f);
             for (int pool : f.pools)
                 visitPool(pool);
         }
     };
-    if (seed_flow != 0)
-        visitFlow(flows_.at(seed_flow));
+    if (seed_flow)
+        visitFlow(*seed_flow);
     for (int pool : seed_pools)
         visitPool(pool);
     for (std::size_t i = 0; i < compPools_.size(); ++i) {
         auto &users =
             poolUsers_[static_cast<std::size_t>(compPools_[i])];
-        for (FlowId fid : users)
-            visitFlow(flows_.at(fid));
+        for (Flow *f : users)
+            visitFlow(*f);
     }
 
     if (movingCount_ > 0 || !compFlows_.empty()) {
@@ -309,13 +308,15 @@ TransferEngine::updateRates(const std::vector<int> &seed_pools,
     }
     if (compFlows_.empty())
         return;
-    std::sort(compFlows_.begin(), compFlows_.end());
+    std::sort(compFlows_.begin(), compFlows_.end(),
+              [](const Flow *a, const Flow *b) { return a->id < b->id; });
 
     // Integrate progress of every component flow since its last
-    // update. Untouched flows keep integrating at their unchanged
-    // rate; their scheduled completion stays exact.
-    for (FlowId fid : compFlows_) {
-        Flow &f = flows_.at(fid);
+    // update, and hand it to the solver (pool list read in place).
+    // Untouched flows keep integrating at their unchanged rate;
+    // their scheduled completion stays exact.
+    for (Flow *fp : compFlows_) {
+        Flow &f = *fp;
         double dt = queue_.now() - f.lastUpdate;
         if (dt > 0 && f.rate > 0) {
             double moved = f.rate * dt;
@@ -325,24 +326,19 @@ TransferEngine::updateRates(const std::vector<int> &seed_pools,
                 f.remaining -= static_cast<Bytes>(moved);
         }
         f.lastUpdate = queue_.now();
+        solver_.addFlow(f.pools, f.req.rateCap);
     }
 
-    std::vector<FairShareFlow> fs(compFlows_.size());
-    for (std::size_t i = 0; i < compFlows_.size(); ++i) {
-        const Flow &f = flows_.at(compFlows_[i]);
-        fs[i].pools = f.pools;
-        fs[i].rateCap = f.req.rateCap;
-    }
     FairShareStats fsStats;
-    auto rates = maxMinFairRates(fs, poolCapacity_,
-                                 mRecomputes_ ? &fsStats : nullptr);
+    const std::vector<double> &rates = solver_.solve(
+        poolCapacity_, mRecomputes_ ? &fsStats : nullptr);
     if (mRecomputes_) {
         mRecomputes_->add();
         mFairShareRounds_->record(fsStats.rounds);
     }
 
     for (std::size_t i = 0; i < compFlows_.size(); ++i) {
-        Flow &f = flows_.at(compFlows_[i]);
+        Flow &f = *compFlows_[i];
         f.rate = rates[i];
         if (f.pendingEvent != kNoEvent) {
             queue_.cancel(f.pendingEvent);
@@ -496,7 +492,7 @@ TransferEngine::finish(FlowId id)
         : std::move(flow.req.onComplete);
     flows_.erase(id);
 
-    updateRates(freed_pools, 0);
+    updateRates(freed_pools, nullptr);
     tryStartFlows();
 
     if (on_complete)

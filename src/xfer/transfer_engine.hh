@@ -30,6 +30,19 @@
  * rates are bit-identical to what a full recomputation would produce;
  * TransferEngineConfig::fairShareCrossCheck re-runs the full solve
  * after every update and panics on any divergence.
+ *
+ * **Allocation-free updates.** The walk stamps flows and pools with
+ * an epoch instead of clearing visited sets, resolves each
+ * component flow to a pointer once, and hands the engine's own
+ * flow records to one FairShareSolver that the engine keeps for its
+ * lifetime: the solver reads each flow's pool list in place and
+ * writes rates into its own buffer. Once warm, an update allocates
+ * nothing beyond the completion events it reschedules, and costs
+ * O(component flows + their pools). The solver resets only the
+ * pools each solve touched (fair_share.hh), so the reused workspace
+ * gives bit-identical rates to a fresh one; the cross-check solves
+ * with maxMinFairRates(), on a fresh solver, and so verifies that
+ * too.
  */
 
 #ifndef MOBIUS_XFER_TRANSFER_ENGINE_HH
@@ -45,6 +58,7 @@
 #include "obs/metrics.hh"
 #include "simcore/event_queue.hh"
 #include "simcore/trace.hh"
+#include "xfer/fair_share.hh"
 #include "xfer/stats.hh"
 
 namespace mobius
@@ -122,6 +136,9 @@ class TransferEngine
                    TransferEngineConfig cfg = {},
                    TraceRecorder *trace = nullptr,
                    MetricsRegistry *metrics = nullptr);
+    /** Scheduled callbacks and the pool index point into the engine. */
+    TransferEngine(const TransferEngine &) = delete;
+    TransferEngine &operator=(const TransferEngine &) = delete;
 
     /** Submit a transfer; completes asynchronously. */
     FlowId submit(TransferRequest req);
@@ -217,19 +234,19 @@ class TransferEngine
     void finish(FlowId id);
 
     /** Register @p flow as moving in the pool -> flows index. */
-    void addToPools(const Flow &flow);
+    void addToPools(Flow &flow);
     /** Remove @p flow from the pool -> flows index. */
     void removeFromPools(const Flow &flow);
 
     /**
      * React to an active-set change: walk the connected component of
      * moving flows reachable from @p seed_pools (and @p seed_flow,
-     * when nonzero), integrate their progress, re-solve their
+     * when non-null), integrate their progress, re-solve their
      * max-min fair rates, and reschedule their completion events.
      * Every other moving flow is left untouched.
      */
     void updateRates(const std::vector<int> &seed_pools,
-                     FlowId seed_flow);
+                     Flow *seed_flow);
 
     /** Full-solve verification of every stored rate (cross-check). */
     void crossCheckRates();
@@ -245,16 +262,23 @@ class TransferEngine
     std::vector<CopyEngine> engines_;
     std::vector<double> poolCapacity_;
     std::vector<double> basePoolCapacity_; //!< nominal (factor 1)
-    /** Moving flows per pool id (the component-walk adjacency). */
-    std::vector<std::vector<FlowId>> poolUsers_;
+    /**
+     * Moving flows per pool id (the component-walk adjacency).
+     * Pointers into flows_ stay valid: unordered_map never moves
+     * its elements, and a flow leaves this index before it is
+     * erased.
+     */
+    std::vector<std::vector<Flow *>> poolUsers_;
     /** Per-pool epoch stamps for the component walk. */
     std::vector<std::uint64_t> poolMark_;
     std::uint64_t walkEpoch_ = 0;
     int movingCount_ = 0;
     FairShareActivity fsActivity_;
     /** Scratch for updateRates (kept to avoid re-allocation). */
-    std::vector<FlowId> compFlows_;
+    std::vector<Flow *> compFlows_;
     std::vector<int> compPools_;
+    /** The waterfill workspace every updateRates reuses. */
+    FairShareSolver solver_;
     FlowId nextId_ = 1;
     std::uint64_t nextSeq_ = 1;
     SpanId lastSpan_ = kNoSpan;

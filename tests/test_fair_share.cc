@@ -3,6 +3,8 @@
  * Unit and property tests for the max-min fair rate allocator.
  */
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "base/rng.hh"
@@ -153,6 +155,81 @@ TEST(FairShare, ReportsComponentCount)
     flows.push_back({{0, 1}, 0.0});
     maxMinFairRates(flows, {10.0, 4.0}, &stats);
     EXPECT_EQ(stats.components, 1);
+}
+
+/**
+ * One FairShareSolver reused across many unrelated problems must give
+ * exactly what a fresh solve gives: the same rate bits and the same
+ * telemetry. The pool count grows and shrinks between calls and the
+ * shapes alternate (random routes, disjoint components, capped flows,
+ * pool-sharing chains), so any per-pool or per-flow scratch a solve
+ * leaves behind — a pool's flow list, user count, "seen" mark or
+ * residual — shows up as a mismatch on a later call.
+ */
+TEST(FairShare, ReusedSolverMatchesFreshSolve)
+{
+    Rng rng(4242);
+    FairShareSolver solver;
+    for (int iter = 0; iter < 1200; ++iter) {
+        const int npools =
+            1 + static_cast<int>(rng.below(iter % 3 == 0 ? 40 : 6));
+        std::vector<double> cap;
+        for (int p = 0; p < npools; ++p)
+            cap.push_back(rng.uniform(1.0, 20.0));
+
+        const int shape = iter % 4;
+        const int nflows = static_cast<int>(rng.below(14));
+        std::vector<FairShareFlow> flows;
+        for (int f = 0; f < nflows; ++f) {
+            FairShareFlow fl;
+            auto addPool = [&fl](int p) {
+                for (int q : fl.pools)
+                    if (q == p)
+                        return;
+                fl.pools.push_back(p);
+            };
+            if (shape == 1) {
+                // Disjoint components: flow f stays inside group
+                // f % 3 of the pools.
+                const int group = f % 3;
+                for (int p = group; p < npools; p += 3)
+                    if (rng.below(2) == 0)
+                        addPool(p);
+                if (fl.pools.empty() && group < npools)
+                    addPool(group);
+            } else if (shape == 2) {
+                // A chain: flow f shares a pool with f - 1 and f + 1.
+                addPool(f % npools);
+                addPool((f + 1) % npools);
+            } else {
+                int hops = 1 + static_cast<int>(rng.below(3));
+                for (int h = 0; h < hops; ++h)
+                    addPool(static_cast<int>(rng.below(npools)));
+            }
+            if (shape == 3 || rng.below(4) == 0 || fl.pools.empty())
+                fl.rateCap = rng.uniform(0.5, 10.0);
+            flows.push_back(fl);
+        }
+
+        for (const FairShareFlow &fl : flows)
+            solver.addFlow(fl.pools, fl.rateCap);
+        FairShareStats got, want;
+        const std::vector<double> &reused = solver.solve(cap, &got);
+        std::vector<double> fresh = maxMinFairRates(flows, cap, &want);
+
+        ASSERT_EQ(reused.size(), fresh.size()) << "iter " << iter;
+        if (!fresh.empty()) {
+            ASSERT_EQ(std::memcmp(reused.data(), fresh.data(),
+                                  fresh.size() * sizeof(double)),
+                      0)
+                << "iter " << iter;
+        }
+        ASSERT_EQ(got.rounds, want.rounds) << "iter " << iter;
+        ASSERT_EQ(got.cappedFlows, want.cappedFlows) << "iter " << iter;
+        ASSERT_EQ(got.saturatedPools, want.saturatedPools)
+            << "iter " << iter;
+        ASSERT_EQ(got.components, want.components) << "iter " << iter;
+    }
 }
 
 /**

@@ -48,6 +48,29 @@ TEST(Model, ParameterCountsMatchNominalSizes)
     check(gpt51b(), 51.0);
 }
 
+TEST(Model, NonPositiveDimensionsAreFatal)
+{
+    auto withField = [](int GptConfig::*field, int value) {
+        GptConfig cfg = gpt3b();
+        cfg.*field = value;
+        return cfg;
+    };
+    for (int GptConfig::*field :
+         {&GptConfig::hidden, &GptConfig::heads, &GptConfig::numBlocks,
+          &GptConfig::seqLen, &GptConfig::vocab,
+          &GptConfig::microbatchSize}) {
+        EXPECT_THROW(makeGptModel(withField(field, 0)), FatalError);
+        EXPECT_THROW(makeGptModel(withField(field, -2)), FatalError);
+        EXPECT_NO_THROW(makeGptModel(withField(field, 1)));
+    }
+    // mobius_sim's custom-model default, heads = hidden / 128, is 0
+    // below hidden 128.
+    GptConfig narrow = gpt3b();
+    narrow.hidden = 64;
+    narrow.heads = narrow.hidden / 128;
+    EXPECT_THROW(makeGptModel(narrow), FatalError);
+}
+
 TEST(Model, LayerStackStructure)
 {
     ModelDesc m = makeGptModel(gpt8b());

@@ -345,6 +345,23 @@ TEST(Workload, NonPositiveMicrobatchSettingsAreFatal)
     EXPECT_NO_THROW(Workload(gpt8b(), server, -1, -1));
 }
 
+TEST(CpuOptimizer, NegativeThroughputIsFatal)
+{
+    Server server = makeCommodityServer({2, 2});
+    Workload work(gpt3b(), server);
+    MobiusPlan plan = planMobius(server, work.cost());
+    StepRunOptions opts;
+    opts.cpuAdamThroughput = -5.0;
+    EXPECT_THROW(runMobiusStepEx(server, work.cost(), plan, opts),
+                 FatalError);
+    EXPECT_THROW(runZeroStepEx(server, work.cost(), opts), FatalError);
+    // 0 stays the documented "no CPU optimizer model".
+    opts.cpuAdamThroughput = 0.0;
+    EXPECT_GT(runMobiusStepEx(server, work.cost(), plan, opts)
+                  .stats.stepTime,
+              0.0);
+}
+
 TEST(Plan, OverheadFieldsPopulated)
 {
     Server server = makeCommodityServer({1, 3});

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/rng.hh"
 #include "hw/server.hh"
 #include "xfer/compute_engine.hh"
 #include "xfer/transfer_engine.hh"
@@ -389,6 +390,104 @@ TEST(TransferEngineCrossCheck, ContendedMixSurvivesAndMatches)
     EXPECT_EQ(checked.second.solves, plain.second.solves);
     EXPECT_EQ(checked.second.flowsTouched,
               plain.second.flowsTouched);
+}
+
+/**
+ * Seeded churn: a few hundred staggered transfers in every direction
+ * (DRAM <-> GPU, GPU -> GPU staged through DRAM or over NVLink),
+ * with mixed priorities, zero-byte payloads, per-flow rate caps of
+ * the kind MobiusExecutorConfig::weightSourceRateCap sets, and link
+ * capacity rescales while flows are in flight. The same seed always
+ * produces the same submissions. @return every flow's completion
+ * time, indexed by submission, plus the fair-share telemetry.
+ */
+std::pair<std::vector<double>, FairShareActivity>
+runRandomChurn(const Server &server, std::uint64_t seed,
+               bool cross_check)
+{
+    constexpr int kFlows = 300;
+    EventQueue q;
+    UsageTracker usage(q, server.topo.numGpus());
+    TransferEngineConfig c;
+    c.fairShareCrossCheck = cross_check;
+    TransferEngine eng(q, server.topo, &usage, c);
+
+    Rng rng(seed);
+    const int ngpu = server.topo.numGpus();
+    std::vector<double> done(kFlows, -1.0);
+    double at = 0.0;
+    for (int i = 0; i < kFlows; ++i) {
+        at += rng.uniform(0.0, 2e-3);
+        TransferRequest req;
+        const int g = static_cast<int>(rng.below(ngpu));
+        switch (rng.below(3)) {
+          case 0:
+            req.src = Endpoint::dram();
+            req.dst = Endpoint::gpuAt(g);
+            break;
+          case 1:
+            req.src = Endpoint::gpuAt(g);
+            req.dst = Endpoint::dram();
+            break;
+          default:
+            req.src = Endpoint::gpuAt(g);
+            req.dst = Endpoint::gpuAt(
+                (g + 1 + static_cast<int>(rng.below(ngpu - 1))) %
+                ngpu);
+            break;
+        }
+        req.bytes = rng.below(6) == 0
+            ? 0
+            : (1 + rng.below(192)) * MiB;
+        req.priority = static_cast<int>(rng.below(3)) * 10;
+        if (rng.below(4) == 0)
+            req.rateCap = rng.uniform(1.0, 8.0) * GB;
+        req.onComplete = [&done, &q, i] {
+            done[static_cast<std::size_t>(i)] = q.now();
+        };
+        q.schedule(at, [&eng, req]() mutable {
+            eng.submit(std::move(req));
+        });
+    }
+    for (int k = 0; k < 8; ++k) {
+        const int link =
+            static_cast<int>(rng.below(server.topo.numLinks()));
+        const double factor = k % 2 ? 1.0 : rng.uniform(0.2, 0.9);
+        q.schedule(rng.uniform(0.0, at), [&eng, link, factor] {
+            eng.setLinkCapacityFactor(link, factor);
+        });
+    }
+    q.run();
+    return {done, eng.fairShareActivity()};
+}
+
+TEST(TransferEngineCrossCheck, RandomChurnMatches)
+{
+    const std::vector<Server> servers = {
+        makeCommodityServer({2, 2}), makeCommodityServer({4, 4}),
+        makeDataCenterServer(4)};
+    for (std::size_t s = 0; s < servers.size(); ++s) {
+        for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+            auto plain = runRandomChurn(servers[s], seed, false);
+            auto checked = runRandomChurn(servers[s], seed, true);
+            ASSERT_EQ(checked.first.size(), plain.first.size());
+            for (std::size_t i = 0; i < plain.first.size(); ++i) {
+                ASSERT_GE(plain.first[i], 0.0)
+                    << "server " << s << " flow " << i;
+                EXPECT_EQ(checked.first[i], plain.first[i])
+                    << "server " << s << " seed " << seed
+                    << " flow " << i;
+            }
+            EXPECT_GT(checked.second.crossChecks, 0u);
+            EXPECT_EQ(checked.second.solves, plain.second.solves);
+            EXPECT_EQ(checked.second.flowsTouched,
+                      plain.second.flowsTouched);
+            // The churn must keep several flows in flight at once,
+            // or the incremental path is not being exercised.
+            EXPECT_GT(plain.second.flowsSkipped, 0u)
+                << "server " << s;
+        }
+    }
 }
 
 TEST_F(TransferEngineTest, ComputeEngineFifoAndBusyTime)
