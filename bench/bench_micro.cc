@@ -74,19 +74,23 @@ BM_ZeroStep15B(benchmark::State &state)
 }
 BENCHMARK(BM_ZeroStep15B);
 
+/** Args: model (15 = GPT-15B, 51 = GPT-51B), GPUs per root complex
+ *  of a two-complex server (2+2 or 4+4). */
 void
 BM_MipPartitionSolve(benchmark::State &state)
 {
-    Server server = makeCommodityServer({2, 2});
-    Workload work(gpt15b(), server);
-    PipelineEnv env{4, rtx3090Ti().memBytes, 13.1e9, true};
+    const int per_rc = static_cast<int>(state.range(1));
+    Server server = makeCommodityServer({per_rc, per_rc});
+    Workload work(state.range(0) == 51 ? gpt51b() : gpt15b(), server);
+    PipelineEnv env{server.topo.numGpus(), rtx3090Ti().memBytes, 13.1e9,
+                    true};
     PipelineCostEvaluator eval(work.cost(), env);
     for (auto _ : state) {
         auto r = mipPartition(eval);
         benchmark::DoNotOptimize(r.estimate.stepTime);
     }
 }
-BENCHMARK(BM_MipPartitionSolve);
+BENCHMARK(BM_MipPartitionSolve)->Args({15, 2})->Args({51, 4});
 
 /** Args: GPU count, root complexes (equal shares): 2+2, 4+4, 2+2+2+2. */
 void

@@ -22,68 +22,73 @@ wallSeconds()
         .count();
 }
 
-/** Score a partition: step time, +inf if infeasible. */
-double
-score(const PipelineCostEvaluator &eval, const Partition &p,
-      PipelineEstimate *out, int *evaluated)
-{
-    ++*evaluated;
-    PipelineEstimate est = eval.evaluate(p);
-    double s = est.feasible ? est.stepTime
-                            : std::numeric_limits<double>::infinity();
-    if (out)
-        *out = std::move(est);
-    return s;
-}
-
 /**
  * Hill-climb on stage boundaries: repeatedly move each boundary by
  * one layer in either direction while it improves the step time.
+ * Candidates are scored in place (a rejected move is undone), so a
+ * warm climb allocates nothing.
  */
 void
-hillClimb(const PipelineCostEvaluator &eval, Partition &best,
-          double &best_time, int *evaluated)
+hillClimb(const PipelineCostEvaluator &eval,
+          PipelineCostEvaluator::Workspace &ws, Partition &best,
+          double &best_time, int &evaluated)
 {
     bool improved = true;
     while (improved) {
         improved = false;
         for (std::size_t b = 0; b + 1 < best.size(); ++b) {
             for (int delta : {-1, +1}) {
-                Partition cand = best;
-                StageRange &left = cand[b];
-                StageRange &right = cand[b + 1];
-                int boundary = left.hi + delta;
+                StageRange &left = best[b];
+                StageRange &right = best[b + 1];
+                const int old = left.hi;
+                const int boundary = old + delta;
                 if (boundary <= left.lo || boundary >= right.hi)
                     continue;
-                left.hi = boundary;
-                right.lo = boundary;
-                PipelineEstimate est;
-                double t = score(eval, cand, &est, evaluated);
+                left.hi = right.lo = boundary;
+                ++evaluated;
+                double t = eval.score(best, ws);
                 if (t < best_time - 1e-12) {
-                    best = std::move(cand);
                     best_time = t;
                     improved = true;
+                } else {
+                    left.hi = right.lo = old;
                 }
             }
         }
     }
 }
 
+/** heuristicPartitionForStages() on a caller-owned workspace;
+ *  @p step_time receives the result's score (+inf if infeasible). */
+Partition
+heuristicForStages(const PipelineCostEvaluator &eval,
+                   PipelineCostEvaluator::Workspace &ws, int num_stages,
+                   int &evaluated, double &step_time)
+{
+    Partition p =
+        uniformPartition(eval.cost().numLayers(), num_stages);
+    ++evaluated;
+    step_time = eval.score(p, ws);
+    if (!std::isinf(step_time))
+        hillClimb(eval, ws, p, step_time, evaluated);
+    return p;
+}
+
 } // namespace
 
 Partition
 heuristicPartitionForStages(const PipelineCostEvaluator &eval,
-                            int num_stages, int *evaluated)
+                            int num_stages, int *evaluated,
+                            double *step_time)
 {
-    int scratch = 0;
-    if (!evaluated)
-        evaluated = &scratch;
-    const int L = eval.cost().numLayers();
-    Partition p = uniformPartition(L, num_stages);
-    PipelineEstimate est;
-    double t = score(eval, p, &est, evaluated);
-    if (!std::isinf(t))
-        hillClimb(eval, p, t, evaluated);
+    PipelineCostEvaluator::Workspace ws;
+    int count = 0;
+    double t = 0.0;
+    Partition p = heuristicForStages(eval, ws, num_stages, count, t);
+    if (evaluated)
+        *evaluated += count;
+    if (step_time)
+        *step_time = t;
     return p;
 }
 
@@ -97,16 +102,16 @@ mipPartition(const PipelineCostEvaluator &eval)
 
     PartitionResult result;
     double best_time = std::numeric_limits<double>::infinity();
+    PipelineCostEvaluator::Workspace ws;
 
     // Seed candidates: a near-uniform partition for every feasible
     // stage count (the balanced shapes the MIP gravitates to thanks
     // to layer similarity), hill-climbed to repair edge effects from
     // the embedding / head layers.
     for (int s = std::min(N, L); s <= L; ++s) {
+        double t = 0.0;
         Partition cand =
-            heuristicPartitionForStages(eval, s, &result.evaluated);
-        PipelineEstimate est;
-        double t = score(eval, cand, &est, &result.evaluated);
+            heuristicForStages(eval, ws, s, result.evaluated, t);
         if (t < best_time) {
             best_time = t;
             result.partition = std::move(cand);

@@ -44,10 +44,13 @@ PartitionResult mipPartition(const PipelineCostEvaluator &eval);
  *
  * @param[in,out] evaluated incremented per schedule evaluation
  *                          (may be null).
+ * @param[out] step_time    the returned partition's step time, +inf
+ *                          if memory-infeasible (may be null).
  */
 Partition heuristicPartitionForStages(const PipelineCostEvaluator &eval,
                                       int num_stages,
-                                      int *evaluated = nullptr);
+                                      int *evaluated = nullptr,
+                                      double *step_time = nullptr);
 
 /** §4.3 baseline: as many layers per stage as memory allows. */
 PartitionResult maxStagePartition(const PipelineCostEvaluator &eval);

@@ -1,6 +1,7 @@
 #include "plan/pipeline_cost.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "base/logging.hh"
 
@@ -9,174 +10,244 @@ namespace mobius
 
 PipelineCostEvaluator::PipelineCostEvaluator(const CostModel &cost,
                                              PipelineEnv env)
-    : cost_(&cost), env_(env)
+    : cost_(&cost), env_(env), numLayers_(cost.numLayers())
 {
     if (env_.numGpus < 1)
         fatal("pipeline needs at least one GPU");
     if (env_.gpuMemBytes == 0)
         fatal("pipeline env needs a GPU memory capacity");
+
+    const int L = numLayers_;
+    const auto n = static_cast<std::size_t>(L);
+    std::vector<Bytes> param(n), grad(n), act(n), in_act(n), work(n);
+    std::vector<double> fwd(n), bwd(n);
+    actTime_.resize(n);
+    for (int i = 0; i < L; ++i) {
+        param[i] = cost.paramBytes(i);
+        grad[i] = cost.gradBytes(i);
+        act[i] = cost.actBytes(i);
+        in_act[i] = cost.inActBytes(i);
+        work[i] = cost.workBytes(i);
+        fwd[i] = cost.fwdTime(i);
+        bwd[i] = cost.bwdTime(i);
+        actTime_[i] = static_cast<double>(act[i]) / env_.avgBandwidth;
+    }
+
+    // Each entry extends [lo, hi - 1) by layer hi - 1, so every sum
+    // adds the same terms in the same order as CostModel::range*
+    // and stageMem*: the doubles are bitwise equal to re-summing.
+    table_.resize(n * n);
+    for (int lo = 0; lo < L; ++lo) {
+        Bytes w = 0, g = 0, live_f = 0, live_b = 0;
+        double tf = 0, tb = 0;
+        for (int hi = lo + 1; hi <= L; ++hi) {
+            const int i = hi - 1;
+            w += param[i];
+            g += grad[i];
+            tf += fwd[i];
+            tb += bwd[i];
+            live_f = std::max(live_f, in_act[i] + act[i] + work[i]);
+            live_b = std::max(live_b, 2 * (in_act[i] + act[i]) + work[i]);
+            StageCosts &c = table_[static_cast<std::size_t>(lo) * n +
+                                   static_cast<std::size_t>(i)];
+            c.w = w;
+            c.grad = g;
+            c.memF = w + live_f;
+            c.memB = w + g + live_b;
+            c.tf = tf;
+            c.tb = tb;
+        }
+    }
 }
 
 PipelineEstimate
 PipelineCostEvaluator::evaluate(const Partition &partition) const
 {
-    const CostModel &cm = *cost_;
-    checkPartition(partition, cm.numLayers());
+    PipelineEstimate est;
+    Workspace ws;
+    schedule(partition, ws, &est);
+    return est;
+}
+
+double
+PipelineCostEvaluator::score(const Partition &partition,
+                             Workspace &ws) const
+{
+    return schedule(partition, ws, nullptr);
+}
+
+double
+PipelineCostEvaluator::schedule(const Partition &partition,
+                                Workspace &ws,
+                                PipelineEstimate *detail) const
+{
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    checkPartition(partition, numLayers_);
 
     const int S = static_cast<int>(partition.size());
     const int N = env_.numGpus;
-    const int M = cm.cfg().numMicrobatches;
+    const int M = cost_->cfg().numMicrobatches;
     const double B = env_.avgBandwidth;
     const Bytes G = env_.gpuMemBytes;
 
-    PipelineEstimate est;
-    est.stages.resize(static_cast<std::size_t>(S));
+    StageSchedule *out = nullptr;
+    if (detail) {
+        detail->stages.resize(static_cast<std::size_t>(S));
+        out = detail->stages.data();
+    }
+    ws.stages_.resize(static_cast<std::size_t>(S));
+    ws.row_.resize(static_cast<std::size_t>(M));
+    Workspace::Stage *st = ws.stages_.data();
+    double *row = ws.row_.data();
 
     // Per-stage constants.
-    std::vector<Bytes> w(S), memF(S), memB(S), aOut(S), aIn(S),
-        grad(S);
-    std::vector<double> tf(S), tb(S);
     for (int j = 0; j < S; ++j) {
-        const auto &st = partition[j];
-        w[j] = cm.rangeParamBytes(st.lo, st.hi);
-        grad[j] = cm.rangeGradBytes(st.lo, st.hi);
-        memF[j] = cm.stageMemFwd(st.lo, st.hi);
-        memB[j] = cm.stageMemBwd(st.lo, st.hi);
-        aOut[j] = cm.actBytes(st.hi - 1);
-        aIn[j] = cm.inActBytes(st.lo);
-        tf[j] = cm.rangeFwdTime(st.lo, st.hi);
-        tb[j] = cm.rangeBwdTime(st.lo, st.hi);
+        const StageRange &r = partition[j];
+        const StageCosts &c = stageCosts(r.lo, r.hi);
+        st[j].costs = &c;
+        st[j].actTime = actTime_[r.hi - 1];
 
         // Eq. 4: S_j^e <= G.
-        if (memF[j] > G || memB[j] > G) {
-            est.feasible = false;
-            est.infeasibleReason = strfmt(
-                "stage %d needs %s fwd / %s bwd, GPU has %s", j,
-                formatBytes(memF[j]).c_str(),
-                formatBytes(memB[j]).c_str(),
-                formatBytes(G).c_str());
-            return est;
+        if (c.memF > G || c.memB > G) {
+            if (detail) {
+                detail->feasible = false;
+                detail->infeasibleReason = strfmt(
+                    "stage %d needs %s fwd / %s bwd, GPU has %s", j,
+                    formatBytes(c.memF).c_str(),
+                    formatBytes(c.memB).c_str(),
+                    formatBytes(G).c_str());
+            }
+            return kInf;
         }
     }
 
-    auto &stages = est.stages;
-
     // ---------------- Forward ---------------------------------------
-    // start[j][m] recurrences; only the previous microbatch row is
-    // needed, kept per stage.
-    std::vector<std::vector<double>> fstart(
-        static_cast<std::size_t>(S),
-        std::vector<double>(static_cast<std::size_t>(M), 0.0));
-
+    // row[m] holds stage j-1's start of microbatch m until stage j
+    // overwrites it, so one row carries the whole recurrence.
     for (int j = 0; j < S; ++j) {
+        const StageCosts &c = *st[j].costs;
         // Weight readiness (Eq. 9 with prefetch Eq. 5-6).
         double ready;
         if (j < N) {
             // First stage on this GPU: blocking initial upload.
-            ready = static_cast<double>(w[j]) / B;
+            ready = static_cast<double>(c.w) / B;
         } else {
-            double window_start = fstart[j - N][0];
-            double window_end =
-                fstart[j - N][M - 1] + tf[j - N];
+            const Workspace::Stage &prev = st[j - N];
+            double window_start = prev.fwdStart;
+            double window_end = prev.fwdEnd;
             double window = std::max(0.0, window_end - window_start);
-            Bytes reserve = G - memF[j - N]; // Eq. 5 (memF <= G)
-            Bytes by_time =
-                static_cast<Bytes>(window * B); // Eq. 6
-            Bytes prefetched =
-                std::min({w[j], reserve, by_time});
-            stages[j].prefetchedFwd = prefetched;
+            Bytes reserve = G - prev.costs->memF; // Eq. 5 (memF <= G)
+            Bytes by_time = static_cast<Bytes>(window * B); // Eq. 6
+            Bytes prefetched = std::min({c.w, reserve, by_time});
+            if (out)
+                out[j].prefetchedFwd = prefetched;
             ready = window_end +
-                static_cast<double>(w[j] - prefetched) / B;
+                static_cast<double>(c.w - prefetched) / B;
         }
-        stages[j].fwdReady = ready;
 
+        const double tf = c.tf;
+        const double up = j > 0 ? st[j - 1].costs->tf : 0.0;
+        const double up_act = j > 0 ? st[j - 1].actTime : 0.0;
         for (int m = 0; m < M; ++m) {
             double t = ready;
             if (m > 0) // Eq. 10
-                t = std::max(t, fstart[j][m - 1] + tf[j]);
-            if (j > 0) { // Eq. 8: activation arrival
-                t = std::max(t, fstart[j - 1][m] + tf[j - 1] +
-                                    static_cast<double>(aOut[j - 1]) /
-                                        B);
-            }
-            fstart[j][m] = t;
+                t = std::max(t, row[m - 1] + tf);
+            if (j > 0) // Eq. 8: activation arrival
+                t = std::max(t, row[m] + up + up_act);
+            row[m] = t;
         }
-        stages[j].fwdStart = fstart[j][0];
-        stages[j].fwdEnd = fstart[j][M - 1] + tf[j];
+        st[j].fwdStart = row[0];
+        st[j].fwdEnd = row[M - 1] + tf;
+        if (out) {
+            out[j].fwdReady = ready;
+            out[j].fwdStart = st[j].fwdStart;
+            out[j].fwdEnd = st[j].fwdEnd;
+        }
     }
 
     // ---------------- Backward --------------------------------------
-    std::vector<std::vector<double>> bstart(
-        static_cast<std::size_t>(S),
-        std::vector<double>(static_cast<std::size_t>(M), 0.0));
-
     for (int j = S - 1; j >= 0; --j) {
-        bool resident = env_.keepResidentTail && j >= S - N &&
-            memB[j] <= G;
-        stages[j].residentForBwd = resident;
+        const StageCosts &c = *st[j].costs;
+        bool resident =
+            env_.keepResidentTail && j >= S - N && c.memB <= G;
 
         double ready;
         if (resident) {
-            ready = stages[j].fwdEnd;
+            ready = st[j].fwdEnd;
         } else if (j >= S - N) {
             // Last-round stage that cannot stay resident: blocking
             // reload right after its own forward.
-            ready = stages[j].fwdEnd + static_cast<double>(w[j]) / B;
+            ready = st[j].fwdEnd + static_cast<double>(c.w) / B;
         } else {
-            double window_start = bstart[j + N][0];
-            double window_end = bstart[j + N][M - 1] + tb[j + N];
+            const Workspace::Stage &next = st[j + N];
+            double window_start = next.bwdStart;
+            double window_end = next.bwdEnd;
             double window = std::max(0.0, window_end - window_start);
-            Bytes reserve = G - memB[j + N];
+            Bytes reserve = G - next.costs->memB;
             Bytes by_time = static_cast<Bytes>(window * B);
-            Bytes prefetched = std::min({w[j], reserve, by_time});
-            stages[j].prefetchedBwd = prefetched;
+            Bytes prefetched = std::min({c.w, reserve, by_time});
+            if (out)
+                out[j].prefetchedBwd = prefetched;
             ready = window_end +
-                static_cast<double>(w[j] - prefetched) / B;
+                static_cast<double>(c.w - prefetched) / B;
         }
-        stages[j].bwdReady = ready;
 
+        const double tb = c.tb;
+        const double down = j < S - 1 ? st[j + 1].costs->tb : 0.0;
+        const double act = st[j].actTime;
+        const double barrier = st[j].fwdEnd;
         for (int m = 0; m < M; ++m) {
             double t = ready;
             if (j == S - 1) {
                 // Eq. 11: backward begins once forward is complete.
-                t = std::max(t, stages[j].fwdEnd);
+                t = std::max(t, barrier);
             }
             if (m > 0)
-                t = std::max(t, bstart[j][m - 1] + tb[j]);
-            if (j < S - 1) { // Eq. 8 backward direction
-                t = std::max(t, bstart[j + 1][m] + tb[j + 1] +
-                                    static_cast<double>(aOut[j]) / B);
-            }
-            bstart[j][m] = t;
+                t = std::max(t, row[m - 1] + tb);
+            if (j < S - 1) // Eq. 8 backward direction
+                t = std::max(t, row[m] + down + act);
+            row[m] = t;
         }
-        stages[j].bwdStart = bstart[j][0];
-        stages[j].bwdEnd = bstart[j][M - 1] + tb[j];
+        st[j].bwdStart = row[0];
+        st[j].bwdEnd = row[M - 1] + tb;
+        if (out) {
+            out[j].residentForBwd = resident;
+            out[j].bwdReady = ready;
+            out[j].bwdStart = st[j].bwdStart;
+            out[j].bwdEnd = st[j].bwdEnd;
+        }
     }
 
     // Step ends when the last gradient flush lands in DRAM.
     double step = 0.0;
     for (int j = 0; j < S; ++j) {
-        step = std::max(step, stages[j].bwdEnd +
-                                  static_cast<double>(grad[j]) / B);
+        step = std::max(step, st[j].bwdEnd +
+                                  static_cast<double>(st[j].costs->grad) /
+                                      B);
     }
-    est.stepTime = step;
-    est.feasible = true;
+    if (!detail)
+        return step;
+    detail->stepTime = step;
+    detail->feasible = true;
 
     // Implied traffic (Eq. 1): weights down (twice minus resident
     // tail), checkpoints both ways, boundary activations between
     // stages, gradients up.
     Bytes comm = 0;
     for (int j = 0; j < S; ++j) {
-        comm += w[j];                     // forward upload
-        if (!stages[j].residentForBwd)
-            comm += w[j];                 // backward re-upload
-        comm += grad[j];                  // gradient flush
-        comm += 2 * aIn[j] * static_cast<Bytes>(M); // checkpoints
+        const StageCosts &c = *st[j].costs;
+        comm += c.w;                      // forward upload
+        if (!out[j].residentForBwd)
+            comm += c.w;                  // backward re-upload
+        comm += c.grad;                   // gradient flush
+        comm += 2 * cost_->inActBytes(partition[j].lo) *
+            static_cast<Bytes>(M);        // checkpoints
         if (j + 1 < S)
-            comm += 2 * aOut[j] * static_cast<Bytes>(M); // act + grad
+            comm += 2 * cost_->actBytes(partition[j].hi - 1) *
+                static_cast<Bytes>(M);    // act + grad
     }
-    est.commBytes = comm;
-    return est;
+    detail->commBytes = comm;
+    return step;
 }
 
 } // namespace mobius

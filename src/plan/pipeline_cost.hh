@@ -14,11 +14,20 @@
  * MIP's constant B in Table 2 — contention is deliberately not
  * modelled here (it is handled by cross mapping and observed in the
  * event-driven executor).
+ *
+ * The evaluator is table-driven: its constructor sums every stage
+ * range's constants once (weights, gradients, Eq. 4 footprints,
+ * compute times), in the same layer order as the CostModel range
+ * aggregates, so a lookup is bitwise equal to re-summing. A search
+ * scores candidates through score(), which runs the same recurrence
+ * as evaluate() but keeps only a rolling microbatch row in a
+ * caller-owned Workspace and fills no per-stage detail.
  */
 
 #ifndef MOBIUS_PLAN_PIPELINE_COST_HH
 #define MOBIUS_PLAN_PIPELINE_COST_HH
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -72,17 +81,86 @@ struct PipelineEstimate
 class PipelineCostEvaluator
 {
   public:
+    /**
+     * Constants of the stage [lo, hi), summed once; each equals the
+     * CostModel aggregate named beside it, bit for bit.
+     */
+    struct StageCosts
+    {
+        Bytes w = 0;    //!< rangeParamBytes: FP16 weights
+        Bytes grad = 0; //!< rangeGradBytes: FP16 gradients
+        Bytes memF = 0; //!< stageMemFwd: S^f_j (Eq. 4)
+        Bytes memB = 0; //!< stageMemBwd: S^b_j (Eq. 4)
+        double tf = 0.0; //!< rangeFwdTime: T^f_j, one microbatch
+        double tb = 0.0; //!< rangeBwdTime: T^b_j, one microbatch
+    };
+
+    /**
+     * Scratch for score(): a rolling microbatch row and per-stage
+     * times, grown on demand and reused, so a warm score() allocates
+     * nothing. One workspace per search; it is not safe to share
+     * between threads.
+     */
+    class Workspace
+    {
+        friend class PipelineCostEvaluator;
+
+        /** What the recurrence keeps of one stage. */
+        struct Stage
+        {
+            const StageCosts *costs = nullptr;
+            double actTime = 0.0;  //!< output activation / B
+            double fwdStart = 0.0; //!< t^f_{j,1}
+            double fwdEnd = 0.0;   //!< t^f_{j,M} + T^f_j
+            double bwdStart = 0.0; //!< t^b_{j,1}
+            double bwdEnd = 0.0;   //!< t^b_{j,M} + T^b_j
+        };
+
+        std::vector<Stage> stages_;
+        std::vector<double> row_; //!< one stage's start times, by m
+    };
+
+    /** Build the stage-constant table of @p cost (O(L^2) entries). */
     PipelineCostEvaluator(const CostModel &cost, PipelineEnv env);
 
     /** Evaluate one partition (Eq. 3-11). */
     PipelineEstimate evaluate(const Partition &partition) const;
 
+    /**
+     * Step time of @p partition, bitwise equal to
+     * evaluate(partition).stepTime, or +inf when it does not fit in
+     * GPU memory. Allocation-free once @p ws has grown to the
+     * partition's stage and microbatch counts.
+     */
+    double score(const Partition &partition, Workspace &ws) const;
+
+    /** Table entry of the stage [lo, hi), 0 <= lo < hi <= L. */
+    const StageCosts &
+    stageCosts(int lo, int hi) const
+    {
+        return table_[static_cast<std::size_t>(lo) *
+                          static_cast<std::size_t>(numLayers_) +
+                      static_cast<std::size_t>(hi - 1)];
+    }
+
     const PipelineEnv &env() const { return env_; }
     const CostModel &cost() const { return *cost_; }
 
   private:
+    /**
+     * The Eq. 4-11 recurrence shared by evaluate() and score():
+     * @return the step time, +inf if infeasible. When @p detail is
+     * non-null it also receives feasibility, per-stage schedules and
+     * the implied traffic.
+     */
+    double schedule(const Partition &partition, Workspace &ws,
+                    PipelineEstimate *detail) const;
+
     const CostModel *cost_;
     PipelineEnv env_;
+    int numLayers_ = 0;
+    std::vector<StageCosts> table_; //!< [lo * L + hi - 1]
+    std::vector<double> actTime_;   //!< actBytes(i) / B
 };
 
 } // namespace mobius

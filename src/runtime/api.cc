@@ -93,13 +93,20 @@ planMobius(const Server &server, const CostModel &cost,
     plan.estimate = std::move(part.estimate);
     plan.solveSeconds = part.solveSeconds;
 
+    const bool record = opts.metrics && opts.metrics->enabled();
+    // The exact MIP reports its search as plan.mip.nodes instead.
+    if (record && opts.partition != PartitionAlgo::ExactMip) {
+        opts.metrics->counter("plan.partition.evaluated")
+            .add(static_cast<double>(part.evaluated));
+    }
+
     // 3. Map stages to GPUs.
     if (opts.mapping == MappingAlgo::Cross) {
         MappingResult cross =
             crossMapping(server.topo, plan.stageCount());
         plan.mapping = std::move(cross.mapping);
         plan.mappingSeconds = cross.searchSeconds;
-        if (opts.metrics && opts.metrics->enabled()) {
+        if (record) {
             opts.metrics->counter("plan.mapping.evaluated")
                 .add(static_cast<double>(cross.evaluated));
         }

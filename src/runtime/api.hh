@@ -90,8 +90,9 @@ struct PlanOptions
      * when partition == PartitionAlgo::ExactMip. */
     MipOptions mip;
     /** Optional registry for plan.mip.* / solver.lp.* metrics from
-     * the exact MIP solve and the plan.mapping.evaluated count of
-     * cross mapping; null or disabled = no recording. */
+     * the exact MIP solve, the plan.partition.evaluated count of the
+     * other partition algorithms and the plan.mapping.evaluated
+     * count of cross mapping; null or disabled = no recording. */
     MetricsRegistry *metrics = nullptr;
 };
 

@@ -7,13 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <functional>
 
 #include "base/logging.hh"
+#include "base/rng.hh"
 #include "hw/server.hh"
 #include "oracles/mapping_reference.hh"
 #include "oracles/partition_reference.hh"
+#include "oracles/pipeline_cost_reference.hh"
 #include "plan/mapping.hh"
 #include "plan/partition_algos.hh"
 #include "plan/partition_mip.hh"
@@ -187,6 +190,169 @@ TEST_F(EvaluatorTest, ResidentTailSkipsReload)
     EXPECT_TRUE(with.stages[3].residentForBwd);
     EXPECT_FALSE(without.stages[3].residentForBwd);
     delete nores;
+}
+
+/** Bitwise equality of two doubles (distinguishes -0.0, NaNs). */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/**
+ * A random contiguous partition of @p layers whose stages hold
+ * 1..@p max_stage layers each (the last stage takes what is left).
+ */
+Partition
+randomPartition(Rng &rng, int layers, int max_stage)
+{
+    Partition p;
+    for (int lo = 0; lo < layers;) {
+        const int size = 1 + static_cast<int>(rng.below(
+                                 static_cast<std::uint64_t>(max_stage)));
+        const int hi = std::min(layers, lo + size);
+        p.push_back(StageRange{lo, hi});
+        lo = hi;
+    }
+    return p;
+}
+
+TEST(Evaluator, StageTableMatchesCostModelBitwise)
+{
+    // Every (lo, hi) entry must equal the CostModel's per-range loop
+    // exactly; a change of summation order shows up here even where
+    // the recurrence would round the difference away.
+    for (const GptConfig &cfg :
+         {gpt3b(), gpt8b(), gpt15b(), gpt51b()}) {
+        const ModelDesc model = makeGptModel(cfg);
+        const int L = model.numLayers();
+        for (int mbs = 1; mbs <= 8; ++mbs) {
+            TrainConfig tc;
+            tc.microbatchSize = mbs;
+            const CostModel cost(model, rtx3090Ti(), tc);
+            const PipelineCostEvaluator eval(
+                cost, PipelineEnv{4, rtx3090Ti().memBytes, 13.1e9, true});
+            for (int lo = 0; lo < L; ++lo) {
+                for (int hi = lo + 1; hi <= L; ++hi) {
+                    const auto &c = eval.stageCosts(lo, hi);
+                    ASSERT_TRUE(
+                        c.w == cost.rangeParamBytes(lo, hi) &&
+                        c.grad == cost.rangeGradBytes(lo, hi) &&
+                        c.memF == cost.stageMemFwd(lo, hi) &&
+                        c.memB == cost.stageMemBwd(lo, hi) &&
+                        sameBits(c.tf, cost.rangeFwdTime(lo, hi)) &&
+                        sameBits(c.tb, cost.rangeBwdTime(lo, hi)))
+                        << cfg.name << " mbs=" << mbs << " [" << lo
+                        << ", " << hi << ")";
+                }
+            }
+        }
+    }
+}
+
+TEST(Evaluator, TableDrivenMatchesPerRangeOracleBitwise)
+{
+    // Table 3 models on every commodity shape, 1-8 microbatches,
+    // resident tail on and off: evaluate() must reproduce the
+    // per-range-loop evaluator double for double, and score() its
+    // step time (+inf exactly when infeasible).
+    const std::vector<std::vector<int>> topos = {
+        {2, 2}, {4}, {4, 4}, {2, 2, 2, 2}};
+    Rng rng(16);
+    int feasible = 0, infeasible = 0;
+    for (const GptConfig &cfg :
+         {gpt3b(), gpt8b(), gpt15b(), gpt51b()}) {
+        const ModelDesc model = makeGptModel(cfg);
+        const int L = model.numLayers();
+        for (const auto &groups : topos) {
+            const Server server = makeCommodityServer(groups);
+            for (int mbs = 1; mbs <= 8; ++mbs) {
+                TrainConfig tc;
+                tc.microbatchSize = cfg.microbatchSize;
+                tc.numMicrobatches = mbs;
+                const CostModel cost(model, server.topo.gpuSpec(0), tc);
+                for (bool tail : {true, false}) {
+                    PipelineEnv env;
+                    env.numGpus = server.topo.numGpus();
+                    env.gpuMemBytes = server.topo.gpuSpec(0).memBytes;
+                    env.keepResidentTail = tail;
+                    const PipelineCostEvaluator eval(cost, env);
+                    PipelineCostEvaluator::Workspace ws;
+                    for (int k = 0; k < 12; ++k) {
+                        // Odd draws keep stages small (mostly
+                        // feasible), even draws allow any size
+                        // (mostly memory-infeasible).
+                        const int max_stage = 1 + static_cast<int>(
+                            rng.below(k % 2 ? 8 : L));
+                        const Partition p =
+                            randomPartition(rng, L, max_stage);
+                        const std::string what = cfg.name + " " +
+                            partitionToString(p) + " M=" +
+                            std::to_string(mbs) +
+                            (tail ? " tail" : " no-tail");
+                        const PipelineEstimate ref =
+                            pipelineCostReference(eval, p);
+                        const PipelineEstimate got = eval.evaluate(p);
+                        ASSERT_EQ(got.feasible, ref.feasible) << what;
+                        EXPECT_EQ(got.infeasibleReason,
+                                  ref.infeasibleReason) << what;
+                        EXPECT_TRUE(sameBits(got.stepTime, ref.stepTime))
+                            << what;
+                        EXPECT_EQ(got.commBytes, ref.commBytes) << what;
+                        ASSERT_EQ(got.stages.size(), ref.stages.size());
+                        for (std::size_t j = 0; j < ref.stages.size();
+                             ++j) {
+                            const StageSchedule &a = got.stages[j];
+                            const StageSchedule &b = ref.stages[j];
+                            EXPECT_TRUE(sameBits(a.fwdStart, b.fwdStart) &&
+                                        sameBits(a.fwdEnd, b.fwdEnd) &&
+                                        sameBits(a.bwdStart, b.bwdStart) &&
+                                        sameBits(a.bwdEnd, b.bwdEnd) &&
+                                        sameBits(a.fwdReady, b.fwdReady) &&
+                                        sameBits(a.bwdReady, b.bwdReady))
+                                << what << " stage " << j;
+                            EXPECT_EQ(a.prefetchedFwd, b.prefetchedFwd);
+                            EXPECT_EQ(a.prefetchedBwd, b.prefetchedBwd);
+                            EXPECT_EQ(a.residentForBwd, b.residentForBwd);
+                        }
+                        const double t = eval.score(p, ws);
+                        if (ref.feasible) {
+                            ++feasible;
+                            EXPECT_TRUE(sameBits(t, got.stepTime)) << what;
+                        } else {
+                            ++infeasible;
+                            EXPECT_TRUE(std::isinf(t) && t > 0) << what;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // The draw must exercise both branches of Eq. 4.
+    EXPECT_GT(feasible, 100);
+    EXPECT_GT(infeasible, 100);
+}
+
+TEST(Evaluator, HeuristicHandsBackItsScore)
+{
+    // The per-stage-count heuristic reports the step time of the
+    // partition it returns, so callers need not score it again.
+    ModelDesc m = makeGptModel(gpt15b());
+    CostModel cost(m, rtx3090Ti(), TrainConfig{});
+    PipelineCostEvaluator eval(
+        cost, PipelineEnv{4, rtx3090Ti().memBytes, 13.1e9, true});
+    int evaluated = 0;
+    for (int s = 4; s <= m.numLayers(); s += 9) {
+        double t = 0.0;
+        Partition p = heuristicPartitionForStages(eval, s, &evaluated, &t);
+        ASSERT_EQ(static_cast<int>(p.size()), s);
+        PipelineEstimate est = eval.evaluate(p);
+        if (est.feasible)
+            EXPECT_TRUE(sameBits(t, est.stepTime)) << s;
+        else
+            EXPECT_TRUE(std::isinf(t)) << s;
+    }
+    EXPECT_GT(evaluated, 0);
 }
 
 TEST(PartitionAlgos, MipMatchesBruteForceOnToys)

@@ -403,6 +403,29 @@ TEST(Plan, MappingEvaluatedCounterRecorded)
     EXPECT_EQ(off.size(), 0u);
 }
 
+TEST(Plan, PartitionEvaluatedCounterRecorded)
+{
+    // GPT-8B (43 layers) on 2+2 sweeps stage counts 4..43. The
+    // search scores each seed and its hill-climb moves once; the
+    // count is exact, so a change in search work shows here.
+    Server server = makeCommodityServer({2, 2});
+    Workload work(gpt8b(), server);
+    MetricsRegistry metrics;
+    PlanOptions opts;
+    opts.metrics = &metrics;
+    planMobius(server, work.cost(), opts);
+    const Counter *evaluated =
+        metrics.findCounter("plan.partition.evaluated");
+    ASSERT_NE(evaluated, nullptr);
+    EXPECT_EQ(evaluated->value(), 895.0);
+
+    // A disabled registry records nothing.
+    MetricsRegistry off(false);
+    opts.metrics = &off;
+    planMobius(server, work.cost(), opts);
+    EXPECT_EQ(off.size(), 0u);
+}
+
 TEST(Plan, Gpt51bPlansAndRuns)
 {
     Server server = makeCommodityServer({2, 2});

@@ -12,7 +12,8 @@
  *
  * Options:
  *   --model 3b|8b|15b|51b|custom   (default 15b)
- *   --hidden/--blocks/--heads N    (custom model only)
+ *   --hidden/--blocks/--heads N    (custom model only; --heads
+ *                                  defaults to hidden / 128)
  *   --topo 4|2+2|1+3|4+4|...       root-complex groups (default 2+2)
  *   --dc                           data-center server (4x V100)
  *   --system mobius|deepspeed|gpipe|dspipe|tp   (default mobius)
@@ -122,7 +123,13 @@ pickModel(const Args &args)
         cfg.name = "custom";
         cfg.hidden = args.getInt("hidden", 4096);
         cfg.numBlocks = args.getInt("blocks", 40);
-        cfg.heads = args.getInt("heads", cfg.hidden / 128);
+        const int default_heads = cfg.hidden / 128;
+        if (!args.has("heads") && default_heads < 1) {
+            fatal("--hidden %d gives a default head count of "
+                  "hidden / 128 = %d; pass --heads",
+                  cfg.hidden, default_heads);
+        }
+        cfg.heads = args.getInt("heads", default_heads);
         cfg.microbatchSize = 1;
         return cfg;
     }
