@@ -58,21 +58,21 @@ struct AttribResult
     StepAttribution attrib;
 };
 
-/** Run one Mobius step on an explicit partition + mapping. */
+/** Run one Mobius step of @p plan. */
 AttribResult
 runMobiusAttrib(const GptConfig &cfg, const Server &server,
-                const Partition &part, const Mapping &map,
-                const std::string &mapping_name)
+                const MobiusPlan &plan, const std::string &mapping_name)
 {
     Workload work(cfg, server);
-    RunContext ctx(server);
-    MobiusExecutor exec(ctx, work.cost(), part, map);
+    TraceRecorder trace;
+    StepRunOptions opts;
+    opts.traceOut = &trace;
     AttribResult r;
     r.system = "mobius";
     r.mapping = mapping_name;
     r.model = cfg.name;
-    r.stats = exec.run();
-    r.attrib = attributeStep(ctx.trace());
+    r.stats = runMobiusStepEx(server, work.cost(), plan, opts).stats;
+    r.attrib = attributeStep(trace);
     return r;
 }
 
@@ -81,13 +81,14 @@ AttribResult
 runZeroAttrib(const GptConfig &cfg, const Server &server)
 {
     Workload work(cfg, server);
-    RunContext ctx(server);
-    ZeroHeteroExecutor exec(ctx, work.cost());
+    TraceRecorder trace;
+    StepRunOptions opts;
+    opts.traceOut = &trace;
     AttribResult r;
     r.system = "deepspeed";
     r.model = cfg.name;
-    r.stats = exec.run();
-    r.attrib = attributeStep(ctx.trace());
+    r.stats = runZeroStepEx(server, work.cost(), opts).stats;
+    r.attrib = attributeStep(trace);
     return r;
 }
 
@@ -165,15 +166,12 @@ main(int argc, char **argv)
             Workload work(cfg, server);
             MobiusPlan plan = planMobius(server, work.cost());
             const int stages = plan.stageCount();
-            Mapping seq =
-                sequentialMapping(server.topo, stages);
-            Mapping cross =
-                crossMapping(server.topo, stages).mapping;
-
-            AttribResult rSeq = runMobiusAttrib(
-                cfg, server, plan.partition, seq, "seq");
-            AttribResult rCross = runMobiusAttrib(
-                cfg, server, plan.partition, cross, "cross");
+            plan.mapping = sequentialMapping(server.topo, stages);
+            AttribResult rSeq =
+                runMobiusAttrib(cfg, server, plan, "seq");
+            plan.mapping = crossMapping(server.topo, stages).mapping;
+            AttribResult rCross =
+                runMobiusAttrib(cfg, server, plan, "cross");
             AttribResult rZero = runZeroAttrib(cfg, server);
             printRow(rSeq);
             printRow(rCross);

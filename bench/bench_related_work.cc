@@ -36,7 +36,7 @@ main(int argc, char **argv)
                 runMobiusStepEx(server, work.cost(), plan).stats;
             try {
                 StepStats tp =
-                    runTensorParallelStep(server, work.cost());
+                    runTensorParallelStep(server, work.cost()).stats;
                 std::printf(
                     "%4d %11.2fs %15.2fs %12.2f %14s %14s\n", mbs,
                     mob.stepTime, tp.stepTime,

@@ -129,26 +129,27 @@ pipelineOrderHolds(TraceRecorder &trace, int stages, int mbs)
  * model, not the planner's reaction to it.
  */
 FaultedStep
-runStep(const std::string &system, const Server &server,
-        const Workload &work, const MobiusPlan &plan,
-        const FaultPlan &faults, std::uint64_t seed)
+runFaultedStep(const std::string &system, const Server &server,
+               const Workload &work, const MobiusPlan &plan,
+               const FaultPlan &faults, std::uint64_t seed)
 {
-    RunContext ctx(server, {}, 0.0, nullptr, {},
-                   faults.empty() ? nullptr : &faults, seed);
+    StepRunOptions opts;
+    opts.faults = &faults;
+    opts.faultSeed = seed;
     FaultedStep r;
+    StepStats stats;
     if (system == "mobius") {
-        MobiusExecutor exec(ctx, work.cost(), plan.partition,
-                            plan.mapping);
-        r.stepTime = exec.run().stepTime;
+        TraceRecorder trace;
+        opts.traceOut = &trace;
+        stats = runMobiusStepEx(server, work.cost(), plan, opts).stats;
         r.orderOk = pipelineOrderHolds(
-            ctx.trace(), plan.stageCount(),
+            trace, plan.stageCount(),
             work.cost().cfg().numMicrobatches);
     } else {
-        ZeroHeteroExecutor exec(ctx, work.cost());
-        r.stepTime = exec.run().stepTime;
+        stats = runZeroStepEx(server, work.cost(), opts).stats;
     }
-    if (ctx.faults())
-        r.counters = ctx.faults()->counters();
+    r.stepTime = stats.stepTime;
+    r.counters = stats.faults;
     return r;
 }
 
@@ -190,7 +191,7 @@ runGoodputCurve(const GptConfig &cfg, const std::vector<int> &groups,
         plan = planMobius(server, work.cost());
 
     FaultedStep clean =
-        runStep(system, server, work, plan, {}, kFaultSeed);
+        runFaultedStep(system, server, work, plan, {}, kFaultSeed);
     r.cleanStepTime = clean.stepTime;
     r.orderOk = clean.orderOk;
 
@@ -205,8 +206,8 @@ runGoodputCurve(const GptConfig &cfg, const std::vector<int> &groups,
             fp.xfailProb = rate;
             fp.retryBudget = kRetryBudget;
             fp.retryBackoff = kRetryBackoff;
-            FaultedStep s = runStep(system, server, work, plan, fp,
-                                    kFaultSeed);
+            FaultedStep s = runFaultedStep(system, server, work,
+                                           plan, fp, kFaultSeed);
             p.stepTime = s.stepTime;
             p.goodput = clean.stepTime / s.stepTime;
             p.failures = s.counters.failures;
@@ -249,8 +250,8 @@ runRecoveryCurve(const GptConfig &cfg, const std::vector<int> &groups,
         fp.checkpointCost = clean_step * 0.005;
         fp.restartCost = clean_step * 0.02;
         fp.crashes.push_back({1, clean_step * 0.37});
-        FaultedStep s = runStep("mobius", server, work, plan, fp,
-                                kFaultSeed);
+        FaultedStep s = runFaultedStep("mobius", server, work, plan,
+                                       fp, kFaultSeed);
         RecoveryPoint p;
         p.interval = fp.checkpointInterval;
         p.stepTime = s.stepTime;
@@ -393,10 +394,10 @@ main(int argc, char **argv)
             fp.xfailProb = 0.02;
             fp.retryBudget = kRetryBudget;
             fp.retryBackoff = kRetryBackoff;
-            FaultedStep a = runStep("mobius", server, work, plan,
-                                    fp, kFaultSeed);
-            FaultedStep b = runStep("mobius", server, work, plan,
-                                    fp, kFaultSeed);
+            FaultedStep a = runFaultedStep("mobius", server, work,
+                                           plan, fp, kFaultSeed);
+            FaultedStep b = runFaultedStep("mobius", server, work,
+                                           plan, fp, kFaultSeed);
             deterministic = a.stepTime == b.stepTime &&
                 a.counters.failures == b.counters.failures &&
                 a.counters.retries == b.counters.retries &&

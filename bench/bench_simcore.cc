@@ -227,11 +227,12 @@ runFairShare(bool cross_check)
     MobiusPlan plan = planMobius(server, work.cost());
     TransferEngineConfig xcfg;
     xcfg.fairShareCrossCheck = cross_check;
-    RunContext ctx(server, xcfg);
-    MobiusExecutor exec(ctx, work.cost(), plan.partition,
-                        plan.mapping);
+    // Its own context: the cross-check is a TransferEngineConfig
+    // knob and the activity is read off the live engine.
+    RunContext ctx(server, {}, xcfg);
     FairShareRun r;
-    r.stepTime = exec.run().stepTime;
+    r.stepTime =
+        runStep(ctx, work.cost(), StepSystem::Mobius, &plan).stepTime;
     r.activity = ctx.xfer().fairShareActivity();
     return r;
 }
@@ -249,11 +250,7 @@ profStep()
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
     MobiusPlan plan = planMobius(server, work.cost());
-    RunContext ctx(server, {});
-    MobiusExecutor exec(ctx, work.cost(), plan.partition,
-                        plan.mapping);
-    exec.run();
-    return spanFingerprint(ctx.trace());
+    return runMobiusStepEx(server, work.cost(), plan).spanHash;
 }
 
 /** Per-replica fingerprint compared across thread counts. */
@@ -297,15 +294,16 @@ runBatch(int replicas, int threads, const MobiusPlan &plan)
             fp.xfailProb = 0.01;
             fp.retryBudget = 10;
             fp.retryBackoff = 1e-4;
-            RunContext ctx(server, {}, 0.0, nullptr, {}, &fp,
-                           1000 + static_cast<std::uint64_t>(i));
-            MobiusExecutor exec(ctx, work.cost(), plan.partition,
-                                plan.mapping);
+            StepRunOptions opts;
+            opts.faults = &fp;
+            opts.faultSeed = 1000 + static_cast<std::uint64_t>(i);
+            const StepRunResult run =
+                runMobiusStepEx(server, work.cost(), plan, opts);
             ReplicaOut &out =
                 b.outs[static_cast<std::size_t>(i)];
-            out.stepTime = exec.run().stepTime;
-            out.spans = ctx.trace().spanCount();
-            out.failures = ctx.faults()->counters().failures;
+            out.stepTime = run.stats.stepTime;
+            out.spans = run.spanCount;
+            out.failures = run.stats.faults.failures;
         },
         threads);
     auto t1 = std::chrono::steady_clock::now();

@@ -189,8 +189,8 @@ runPipeline(const GptConfig &cfg, const Server &server,
     Workload work(cfg, server, microbatch, num_microbatches);
     try {
         return RunResult{
-            runPipelineStep(server, work.cost(), schedule), false,
-            ""};
+            runPipelineStep(server, work.cost(), schedule).stats,
+            false, ""};
     } catch (const FatalError &e) {
         return RunResult{{}, true, e.what()};
     }

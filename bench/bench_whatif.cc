@@ -115,18 +115,15 @@ runCurve(const GptConfig &cfg, const std::vector<int> &groups,
     auto stepOn = [&](const Server &srv,
                       const RunPerturbation &rp,
                       SpanDag *dag_out) {
-        RunContext ctx(srv, {}, 0.0, nullptr, rp);
-        StepStats stats;
-        if (system == "mobius") {
-            MobiusExecutor exec(ctx, work.cost(), plan.partition,
-                                plan.mapping);
-            stats = exec.run();
-        } else {
-            ZeroHeteroExecutor exec(ctx, work.cost());
-            stats = exec.run();
-        }
+        TraceRecorder trace;
+        StepRunOptions opts;
+        opts.perturb = rp;
+        opts.traceOut = dag_out ? &trace : nullptr;
+        StepStats stats = system == "mobius"
+            ? runMobiusStepEx(srv, work.cost(), plan, opts).stats
+            : runZeroStepEx(srv, work.cost(), opts).stats;
         if (dag_out)
-            *dag_out = buildSpanDag(ctx.trace());
+            *dag_out = buildSpanDag(trace);
         return stats.stepTime;
     };
 

@@ -31,23 +31,24 @@ main(int argc, char **argv)
     // partition (Figure 4 uses S = 8, N = 4, M = 4).
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt15b(), server, 2);
-    Partition partition =
-        uniformPartition(work.cost().numLayers(), stages);
-    Mapping mapping =
-        crossMapping(server.topo, stages).mapping;
+    MobiusPlan plan;
+    plan.partition = uniformPartition(work.cost().numLayers(), stages);
+    plan.mapping = crossMapping(server.topo, stages).mapping;
 
-    RunContext ctx(server);
-    MobiusExecutor exec(ctx, work.cost(), partition, mapping);
-    StepStats stats = exec.run();
+    TraceRecorder trace;
+    StepRunOptions opts;
+    opts.traceOut = &trace;
+    StepStats stats =
+        runMobiusStepEx(server, work.cost(), plan, opts).stats;
 
     std::printf("Mobius step on %s: %d stages over %d GPUs, "
                 "%d microbatches -> %.2f s\n\n",
-                server.name.c_str(), stages, ctx.numGpus(),
+                server.name.c_str(), stages, stats.numGpus,
                 work.train().numMicrobatches, stats.stepTime);
-    std::printf("%s\n", ctx.trace().toAsciiGantt(96).c_str());
+    std::printf("%s\n", trace.toAsciiGantt(96).c_str());
 
     std::ofstream os(out);
-    os << ctx.trace().toChromeJson();
+    os << trace.toChromeJson();
     std::printf("full trace written to %s (open in "
                 "chrome://tracing)\n", out);
     return 0;

@@ -40,7 +40,11 @@ struct ExactMipResult
     std::uint64_t lpPivots = 0;   //!< simplex pivots over all solves
     std::uint64_t lpWarmSolves = 0; //!< node LPs solved warm
     std::uint64_t lpColdSolves = 0; //!< cold solves incl. fallbacks
-    double wallSeconds = 0.0;     //!< host wall-clock spent solving
+    /** Schedules the per-stage-count incumbent seeding scored
+     *  (heuristicPartitionForStages), summed in stage-count order. */
+    int evaluated = 0;
+    /** Host wall-clock of the whole sweep, seeding included. */
+    double wallSeconds = 0.0;
     int threadsUsed = 1;          //!< stage-sweep worker threads
 };
 

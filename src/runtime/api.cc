@@ -1,8 +1,5 @@
 #include "runtime/api.hh"
 
-#include <algorithm>
-#include <chrono>
-
 #include "base/logging.hh"
 #include "simcore/trace.hh"
 
@@ -67,8 +64,7 @@ planMobius(const Server &server, const CostModel &cost,
         part.partition = std::move(exact.partition);
         part.estimate = eval.evaluate(part.partition);
         part.solveSeconds = exact.wallSeconds;
-        part.evaluated = static_cast<int>(
-            std::min<std::uint64_t>(exact.nodes, 1000000000ULL));
+        part.evaluated = exact.evaluated;
         break;
       }
       case PartitionAlgo::MinStage:
@@ -94,8 +90,7 @@ planMobius(const Server &server, const CostModel &cost,
     plan.solveSeconds = part.solveSeconds;
 
     const bool record = opts.metrics && opts.metrics->enabled();
-    // The exact MIP reports its search as plan.mip.nodes instead.
-    if (record && opts.partition != PartitionAlgo::ExactMip) {
+    if (record) {
         opts.metrics->counter("plan.partition.evaluated")
             .add(static_cast<double>(part.evaluated));
     }
@@ -118,59 +113,91 @@ planMobius(const Server &server, const CostModel &cost,
     return plan;
 }
 
-StepRunResult
-runMobiusStepEx(const Server &server, const CostModel &cost,
-                const MobiusPlan &plan, const StepRunOptions &opts)
+StepStats
+runStep(RunContext &ctx, const CostModel &cost, StepSystem system,
+        const MobiusPlan *plan, const MobiusExecutorConfig &mobius,
+        const ZeroExecutorConfig &zero)
 {
-    RunContext ctx(server, {}, opts.cpuAdamThroughput, opts.metrics, {},
-                   opts.faults, opts.faultSeed);
-    MobiusExecutor exec(ctx, cost, plan.partition, plan.mapping,
-                        opts.mobius);
+    switch (system) {
+      case StepSystem::Mobius:
+        if (!plan)
+            panic("a Mobius step needs a plan");
+        return MobiusExecutor(ctx, cost, plan->partition,
+                              plan->mapping, mobius)
+            .run();
+      case StepSystem::Zero:
+        return ZeroHeteroExecutor(ctx, cost, zero).run();
+      case StepSystem::GPipe:
+      case StepSystem::OneFOneB: {
+        const int n = ctx.numGpus();
+        return PipelineExecutor(ctx, cost,
+                                balancedComputePartition(cost, n),
+                                sequentialMapping(ctx.server().topo, n),
+                                system == StepSystem::GPipe
+                                    ? PipelineSchedule::GPipe
+                                    : PipelineSchedule::OneFOneB)
+            .run();
+      }
+      case StepSystem::TensorParallel:
+        return TensorParallelExecutor(ctx, cost).run();
+    }
+    panic("unknown step system %d", static_cast<int>(system));
+}
+
+namespace
+{
+
+/** The body every step entry point shares: one fresh context, one
+ *  executor, then the trace digest and the optional hand-off. */
+StepRunResult
+runFreshStep(const Server &server, const CostModel &cost,
+             StepSystem system, const MobiusPlan *plan,
+             const StepRunOptions &opts)
+{
+    RunContext ctx(server, opts);
     StepRunResult res;
-    res.stats = exec.run();
+    res.stats = runStep(ctx, cost, system, plan, opts.mobius,
+                        opts.zero);
     res.spanCount = ctx.trace().spanCount();
     res.spanHash = spanFingerprint(ctx.trace());
     if (opts.traceOut)
         ctx.trace().moveInto(*opts.traceOut);
     return res;
+}
+
+} // namespace
+
+StepRunResult
+runMobiusStepEx(const Server &server, const CostModel &cost,
+                const MobiusPlan &plan, const StepRunOptions &opts)
+{
+    return runFreshStep(server, cost, StepSystem::Mobius, &plan, opts);
 }
 
 StepRunResult
 runZeroStepEx(const Server &server, const CostModel &cost,
               const StepRunOptions &opts)
 {
-    RunContext ctx(server, {}, opts.cpuAdamThroughput, opts.metrics, {},
-                   opts.faults, opts.faultSeed);
-    ZeroHeteroExecutor exec(ctx, cost, opts.zero);
-    StepRunResult res;
-    res.stats = exec.run();
-    res.spanCount = ctx.trace().spanCount();
-    res.spanHash = spanFingerprint(ctx.trace());
-    if (opts.traceOut)
-        ctx.trace().moveInto(*opts.traceOut);
-    return res;
+    return runFreshStep(server, cost, StepSystem::Zero, nullptr, opts);
 }
 
-StepStats
-runTensorParallelStep(const Server &server, const CostModel &cost)
+StepRunResult
+runTensorParallelStep(const Server &server, const CostModel &cost,
+                      const StepRunOptions &opts)
 {
-    RunContext ctx(server);
-    TensorParallelExecutor exec(ctx, cost);
-    return exec.run();
+    return runFreshStep(server, cost, StepSystem::TensorParallel,
+                        nullptr, opts);
 }
 
-StepStats
+StepRunResult
 runPipelineStep(const Server &server, const CostModel &cost,
-                PipelineSchedule schedule)
+                PipelineSchedule schedule, const StepRunOptions &opts)
 {
-    const int n = server.topo.numGpus();
-    Partition partition = balancedComputePartition(cost, n);
-    Mapping mapping = sequentialMapping(server.topo,
-                                        static_cast<int>(n));
-    RunContext ctx(server);
-    PipelineExecutor exec(ctx, cost, std::move(partition),
-                          std::move(mapping), schedule);
-    return exec.run();
+    return runFreshStep(server, cost,
+                        schedule == PipelineSchedule::GPipe
+                            ? StepSystem::GPipe
+                            : StepSystem::OneFOneB,
+                        nullptr, opts);
 }
 
 } // namespace mobius

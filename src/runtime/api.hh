@@ -16,8 +16,10 @@
  * fields are what Fig. 12 reports. runMobiusStepEx(),
  * runZeroStepEx(), runTensorParallelStep() and runPipelineStep()
  * execute one training step of Mobius or a baseline on the
- * event-driven simulator and return the measurements behind Figs. 2
- * and 5-16.
+ * event-driven simulator: each takes StepRunOptions and returns a
+ * StepRunResult (the measurements behind Figs. 2 and 5-16 plus the
+ * trace digest). runStep() is the executor dispatch they share, for
+ * callers that own their RunContext.
  */
 
 #ifndef MOBIUS_RUNTIME_API_HH
@@ -117,20 +119,15 @@ MobiusPlan planMobius(const Server &server, const CostModel &cost,
                       const PlanOptions &opts = {});
 
 /**
- * Everything a Mobius or ZeRO step run can be configured with, in
- * one struct; every field defaults to a clean, unrecorded run.
+ * Everything a step run can be configured with, in one struct: the
+ * run-level RunOptions (CPU optimizer, metrics, faults, what-if
+ * perturbation) plus the per-system executor tunables; every field
+ * defaults to a clean, unrecorded run.
  */
-struct StepRunOptions
+struct StepRunOptions : RunOptions
 {
     MobiusExecutorConfig mobius; //!< used by runMobiusStepEx only
     ZeroExecutorConfig zero;     //!< used by runZeroStepEx only
-    /** CPU optimizer params/s; 0 disables the CPU-update model. */
-    double cpuAdamThroughput = 0.0;
-    /** Optional registry for engine counters; null = no recording. */
-    MetricsRegistry *metrics = nullptr;
-    /** Optional fault plan; null or empty = clean run. */
-    const FaultPlan *faults = nullptr;
-    std::uint64_t faultSeed = 1; //!< FaultInjector stream seed
     /**
      * Optional span-retention sink. When non-null, the run's trace
      * is moved here wholesale (arenas and all, replacing previous
@@ -151,6 +148,29 @@ struct StepRunResult
      *  solve, any --threads width). */
     std::uint64_t spanHash = 0;
 };
+
+/** The training systems a step can run: Mobius and its baselines. */
+enum class StepSystem
+{
+    Mobius,         //!< Mobius pipeline over heterogeneous memory
+    Zero,           //!< DeepSpeed ZeRO-3 + heterogeneous memory
+    GPipe,          //!< all-in-GPU pipeline, GPipe schedule
+    OneFOneB,       //!< all-in-GPU pipeline, DeepSpeed 1F1B schedule
+    TensorParallel, //!< Megatron-style tensor parallelism
+};
+
+/**
+ * Build @p system's executor on the caller-owned @p ctx, run one
+ * step and return its measurements; the context (queue, trace,
+ * engines) stays alive for the caller to inspect. The one place an
+ * executor is chosen. Mobius executes @p plan (must be non-null)
+ * with @p mobius; ZeRO runs with @p zero; the pipeline baselines
+ * use the compute-balanced partition on a sequential mapping.
+ */
+StepStats runStep(RunContext &ctx, const CostModel &cost,
+                  StepSystem system, const MobiusPlan *plan,
+                  const MobiusExecutorConfig &mobius = {},
+                  const ZeroExecutorConfig &zero = {});
 
 /**
  * Execute one Mobius step (event-driven) and return its measurements
@@ -175,16 +195,19 @@ StepRunResult runZeroStepEx(const Server &server,
  * comparator, §5). Throws FatalError when the per-GPU weight shard
  * does not fit.
  */
-StepStats runTensorParallelStep(const Server &server,
-                                const CostModel &cost);
+StepRunResult runTensorParallelStep(const Server &server,
+                                    const CostModel &cost,
+                                    const StepRunOptions &opts = {});
 
 /**
  * Execute one all-in-GPU-memory pipeline step (GPipe or DeepSpeed
  * pipeline mode). Throws FatalError when the model does not fit —
  * the Fig. 5 OOM entries.
  */
-StepStats runPipelineStep(const Server &server, const CostModel &cost,
-                          PipelineSchedule schedule);
+StepRunResult runPipelineStep(const Server &server,
+                              const CostModel &cost,
+                              PipelineSchedule schedule,
+                              const StepRunOptions &opts = {});
 
 } // namespace mobius
 

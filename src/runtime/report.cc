@@ -39,12 +39,13 @@ stepStatsToJson(const StepStats &stats, Bytes model_bytes_fp32)
            << "\":" << stats.traffic.bytesOf(kind);
     }
     os << "}";
-    if (stats.faultFailures > 0 || stats.faultRetries > 0 ||
-        stats.faultCrashes > 0 || stats.faultSeconds > 0.0) {
-        os << ",\"fault\":{\"failures\":" << stats.faultFailures
-           << ",\"retries\":" << stats.faultRetries
-           << ",\"crashes\":" << stats.faultCrashes
-           << ",\"seconds\":" << stats.faultSeconds << "}";
+    const FaultCounters &fc = stats.faults;
+    if (fc.failures > 0 || fc.retries > 0 || fc.crashes > 0 ||
+        fc.seconds() > 0.0) {
+        os << ",\"fault\":{\"failures\":" << fc.failures
+           << ",\"retries\":" << fc.retries
+           << ",\"crashes\":" << fc.crashes
+           << ",\"seconds\":" << fc.seconds() << "}";
     }
     os << "}";
     return os.str();

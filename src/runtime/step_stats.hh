@@ -8,9 +8,9 @@
 #ifndef MOBIUS_RUNTIME_STEP_STATS_HH
 #define MOBIUS_RUNTIME_STEP_STATS_HH
 
-#include <cstdint>
 #include <string>
 
+#include "fault/fault_injector.hh"
 #include "xfer/stats.hh"
 
 namespace mobius
@@ -29,12 +29,8 @@ struct StepStats
     double exposedCommTime = 0.0;   //!< comm not overlapped (Fig. 8)
     double overlappedCommTime = 0.0; //!< comm hidden under compute
 
-    /** Fault-injection activity (zero without a fault plan;
-     *  fault/fault_injector.hh). */
-    std::uint64_t faultFailures = 0; //!< failed transfer attempts
-    std::uint64_t faultRetries = 0;  //!< retries issued
-    std::uint64_t faultCrashes = 0;  //!< GPU crashes
-    double faultSeconds = 0.0;       //!< injected fault/recovery secs
+    /** Fault-injection activity (all zero without a fault plan). */
+    FaultCounters faults;
 
     /**
      * Fraction of aggregate GPU time that is communication not

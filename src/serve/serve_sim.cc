@@ -55,8 +55,9 @@ struct ServeSim::Impl
           server(makeCommodityServer(opts.groups)),
           work(opts.model, server),
           plan(buildServePlan(work.cost(), server.topo)),
-          ctx(server, {}, 0.0, opts.metrics, {},
-              &opts.faults, opts.faultSeed),
+          ctx(server, {.metrics = opts.metrics,
+                       .faults = &opts.faults,
+                       .faultSeed = opts.faultSeed}),
           batcher(opts.batch),
           gather(opts.placement.policy == ServePlacement::ZeroGather)
     {

@@ -232,8 +232,7 @@ runMobius(const std::string &spec, std::uint64_t seed)
         fpp = &fp;
     }
     r.ctx = std::make_unique<RunContext>(
-        *r.server, TransferEngineConfig{}, 0.0, nullptr,
-        RunPerturbation{}, fpp, seed);
+        *r.server, RunOptions{.faults = fpp, .faultSeed = seed});
     MobiusExecutor exec(*r.ctx, r.work->cost(), r.plan.partition,
                         r.plan.mapping);
     r.stats = exec.run();
@@ -249,9 +248,9 @@ TEST(FaultDeterminism, SameSeedBitIdenticalRun)
     // Bit-identical: exact step time, identical counters, and an
     // identical span-for-span trace.
     EXPECT_EQ(a.stats.stepTime, b.stats.stepTime);
-    EXPECT_EQ(a.stats.faultFailures, b.stats.faultFailures);
-    EXPECT_EQ(a.stats.faultRetries, b.stats.faultRetries);
-    EXPECT_EQ(a.stats.faultSeconds, b.stats.faultSeconds);
+    EXPECT_EQ(a.stats.faults.failures, b.stats.faults.failures);
+    EXPECT_EQ(a.stats.faults.retries, b.stats.faults.retries);
+    EXPECT_EQ(a.stats.faults.seconds(), b.stats.faults.seconds());
     ASSERT_EQ(a.ctx->trace().spanCount(),
               b.ctx->trace().spanCount());
     for (std::size_t i = 0; i < a.ctx->trace().spanCount(); ++i) {
@@ -272,10 +271,10 @@ TEST(FaultDeterminism, DifferentSeedDifferentFailures)
     // failure streams, but the doomed set must differ (the streams
     // are independent sequences; a full collision over dozens of
     // Bernoulli draws would mean the derivation is broken).
-    EXPECT_GT(a.stats.faultFailures, 0u);
-    EXPECT_GT(b.stats.faultFailures, 0u);
+    EXPECT_GT(a.stats.faults.failures, 0u);
+    EXPECT_GT(b.stats.faults.failures, 0u);
     bool differs =
-        a.stats.faultFailures != b.stats.faultFailures ||
+        a.stats.faults.failures != b.stats.faults.failures ||
         a.stats.stepTime != b.stats.stepTime;
     EXPECT_TRUE(differs);
 }
@@ -305,9 +304,9 @@ TEST(FaultEffects, StragglerThrottleSlowsTheStep)
 TEST(FaultEffects, FailedTransfersAreRetriedAndTraced)
 {
     FaultedRun r = runMobius("xfail=0.02;retry=10+0.0001", 3);
-    ASSERT_GT(r.stats.faultFailures, 0u);
-    EXPECT_EQ(r.stats.faultRetries, r.stats.faultFailures);
-    EXPECT_GT(r.stats.faultSeconds, 0.0);
+    ASSERT_GT(r.stats.faults.failures, 0u);
+    EXPECT_EQ(r.stats.faults.retries, r.stats.faults.failures);
+    EXPECT_GT(r.stats.faults.seconds(), 0.0);
     // Every doomed attempt lands as a category-"fault" span with a
     // "!fail" suffix; every retry leaves a backoff span.
     std::size_t failSpans = 0, backoffSpans = 0;
@@ -319,8 +318,8 @@ TEST(FaultEffects, FailedTransfersAreRetriedAndTraced)
         if (s.track == "fault.retry")
             ++backoffSpans;
     }
-    EXPECT_EQ(failSpans, r.stats.faultFailures);
-    EXPECT_EQ(backoffSpans, r.stats.faultRetries);
+    EXPECT_EQ(failSpans, r.stats.faults.failures);
+    EXPECT_EQ(backoffSpans, r.stats.faults.retries);
 }
 
 TEST(FaultEffects, RetryBudgetExhaustionIsFatal)
@@ -337,7 +336,7 @@ TEST(FaultEffects, CrashRecoveryCostsRestartPlusLostWork)
     // recovery = restart (0.05) + 0.3.
     FaultedRun r = runMobius(
         "ckpt=0.8+0.01;crash:gpu1@1.1;restart=0.05", 1);
-    EXPECT_EQ(r.stats.faultCrashes, 1u);
+    EXPECT_EQ(r.stats.faults.crashes, 1u);
     const FaultCounters &fc = r.ctx->faults()->counters();
     EXPECT_NEAR(fc.recoverySeconds, 0.05 + 0.3, 1e-9);
     EXPECT_GE(fc.checkpoints, 1u);

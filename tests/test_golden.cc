@@ -2,7 +2,8 @@
  * @file
  * Golden fingerprints: pinned digests of one run of every step entry
  * point, every serving policy and a small fleet, plus the cross
- * mapping (§3.3) chosen on a few topologies. A refactor that
+ * mapping (§3.3) chosen on a few topologies, one what-if ground truth
+ * and the modelled profiling cost. A refactor that
  * claims "same behaviour" must leave every constant here unchanged;
  * a deliberate change to modelled behaviour updates them and says so.
  *
@@ -17,6 +18,7 @@
 
 #include "fault/fault_plan.hh"
 #include "fleet/fleet_sim.hh"
+#include "obs/whatif.hh"
 #include "plan/mapping.hh"
 #include "runtime/api.hh"
 #include "serve/serve_sim.hh"
@@ -85,9 +87,11 @@ TEST(Golden, ZeroStepSpanHash)
 TEST(Golden, TensorParallelStepTimeBits)
 {
     Gpt8bSetup s;
-    const StepStats st = runTensorParallelStep(s.server, s.work.cost());
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(st.stepTime),
+    const StepRunResult r =
+        runTensorParallelStep(s.server, s.work.cost());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.stats.stepTime),
               0x400761f0dfa8272fULL);
+    EXPECT_EQ(r.spanHash, 0x1b98a09fd205a5c7ULL);
 }
 
 TEST(Golden, PipelineStepTimeBits)
@@ -95,10 +99,60 @@ TEST(Golden, PipelineStepTimeBits)
     // The all-in-GPU pipeline only fits the 3B model on 4x24 GB.
     const Server server = makeCommodityServer({2, 2});
     const Workload work(gpt3b(), server);
-    const StepStats st = runPipelineStep(server, work.cost(),
-                                         PipelineSchedule::OneFOneB);
+    struct Case
+    {
+        PipelineSchedule schedule;
+        std::uint64_t timeBits;
+        std::uint64_t spanHash;
+    };
+    for (const Case &c :
+         {Case{PipelineSchedule::OneFOneB, 0x3ff0e05350246accULL,
+               0x406e6d7b7d5b40adULL},
+          Case{PipelineSchedule::GPipe, 0x3ff0e45bc1253802ULL,
+               0x8bee6875ceda7dd1ULL}}) {
+        const StepRunResult r =
+            runPipelineStep(server, work.cost(), c.schedule);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(r.stats.stepTime),
+                  c.timeBits)
+            << pipelineScheduleName(c.schedule);
+        EXPECT_EQ(r.spanHash, c.spanHash)
+            << pipelineScheduleName(c.schedule);
+    }
+}
+
+TEST(Golden, WhatIfExactStepTimeBits)
+{
+    // The --whatif-exact ground truth: the baseline plan re-run on
+    // the perturbed server with the engine-rate factors applied.
+    const Server server = makeCommodityServer({2, 2});
+    const Workload work(gpt15b(), server);
+    const MobiusPlan plan = planMobius(server, work.cost());
+    const std::vector<WhatIfSpec> specs = {
+        parseWhatIfSpec("rc0=0.5", server)};
+    StepRunOptions opts;
+    opts.perturb = runPerturbation(specs, server.topo.numGpus());
+    const StepStats st = runMobiusStepEx(perturbServer(server, specs),
+                                         work.cost(), plan, opts)
+                             .stats;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(st.stepTime),
-              0x3ff0e05350246accULL);
+              0x4012d20e19b9b365ULL);
+}
+
+TEST(Golden, ProfilingTimeBits)
+{
+    // Fig. 12 "MIP profiling", with and without layer similarity.
+    const Server server = makeCommodityServer({2, 2});
+    const Workload work(gpt51b(), server);
+    ProfilerConfig without;
+    without.useLayerSimilarity = false;
+    const ProfileResult with = profileModel(work.cost());
+    const ProfileResult all = profileModel(work.cost(), without);
+    EXPECT_EQ(with.profiledLayers, 4);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(with.profilingTime),
+              0x3fe5c5ec70e9417cULL);
+    EXPECT_EQ(all.profiledLayers, 53);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(all.profilingTime),
+              0x403537dd35f6e89aULL);
 }
 
 TEST(Golden, ServeFingerprints)

@@ -36,7 +36,7 @@ TEST(Integration, A100NoFasterLinksButMoreMemory)
     Server a = makeCommodityServer({2, 2}, a100());
     Workload w8(gpt8b(), a);
     StepStats s = runPipelineStep(a, w8.cost(),
-                                  PipelineSchedule::GPipe);
+                                  PipelineSchedule::GPipe).stats;
     EXPECT_GT(s.stepTime, 0.0);
 }
 
@@ -141,7 +141,7 @@ TEST(Integration, DcServerPipelineModeWorks)
     Workload work(gpt3b(), dc);
     try {
         StepStats s = runPipelineStep(dc, work.cost(),
-                                      PipelineSchedule::GPipe);
+                                      PipelineSchedule::GPipe).stats;
         EXPECT_GT(s.stepTime, 0.0);
     } catch (const FatalError &e) {
         // 16 GB per V100 is indeed tight for 3B with optimizer

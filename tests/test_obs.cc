@@ -360,7 +360,7 @@ TEST(EndToEnd, MobiusRunPopulatesRegistry)
     MobiusPlan plan = planMobius(server, work.cost());
 
     MetricsRegistry reg;
-    RunContext ctx(server, {}, 0.0, &reg);
+    RunContext ctx(server, {.metrics = &reg});
     MobiusExecutor exec(ctx, work.cost(), plan.partition,
                         plan.mapping);
     StepStats stats = exec.run();
@@ -407,7 +407,7 @@ TEST(EndToEnd, DisabledRegistryStaysEmpty)
     MobiusPlan plan = planMobius(server, work.cost());
 
     MetricsRegistry reg(false);
-    RunContext ctx(server, {}, 0.0, &reg);
+    RunContext ctx(server, {.metrics = &reg});
     MobiusExecutor exec(ctx, work.cost(), plan.partition,
                         plan.mapping);
     StepStats stats = exec.run();

@@ -99,8 +99,10 @@ TEST(ReplicaRunner, FaultedRunsSpanForSpanIdenticalAcrossThreads)
                 fp.xfailProb = 0.02;
                 fp.retryBudget = 10;
                 fp.retryBackoff = 1e-4;
-                RunContext ctx(server, {}, 0.0, nullptr, {}, &fp,
-                               100 + static_cast<std::uint64_t>(i));
+                RunContext ctx(
+                    server,
+                    {.faults = &fp,
+                     .faultSeed = 100 + static_cast<std::uint64_t>(i)});
                 MobiusExecutor exec(ctx, work.cost(),
                                     plan.partition, plan.mapping);
                 exec.run();

@@ -181,7 +181,7 @@ TEST(Pipeline, GPipeTrains3bOnly)
     Server server = makeCommodityServer({2, 2});
     Workload w3(gpt3b(), server);
     StepStats s = runPipelineStep(server, w3.cost(),
-                                  PipelineSchedule::GPipe);
+                                  PipelineSchedule::GPipe).stats;
     EXPECT_GT(s.stepTime, 0.0);
     // Only activations cross the wire: tiny traffic.
     EXPECT_LT(s.trafficRatio(w3.model().totalParamBytesFp32()),
@@ -201,9 +201,9 @@ TEST(Pipeline, OneFOneBNoSlowerThanGPipe)
     Server server = makeCommodityServer({2, 2});
     Workload w(gpt3b(), server);
     StepStats gpipe = runPipelineStep(server, w.cost(),
-                                      PipelineSchedule::GPipe);
+                                      PipelineSchedule::GPipe).stats;
     StepStats ofob = runPipelineStep(server, w.cost(),
-                                     PipelineSchedule::OneFOneB);
+                                     PipelineSchedule::OneFOneB).stats;
     EXPECT_LE(ofob.stepTime, gpipe.stepTime * 1.01);
 }
 
@@ -424,6 +424,48 @@ TEST(Plan, PartitionEvaluatedCounterRecorded)
     opts.metrics = &off;
     planMobius(server, work.cost(), opts);
     EXPECT_EQ(off.size(), 0u);
+}
+
+TEST(Plan, ExactMipEvaluatedCounterThreadInvariant)
+{
+    // The exact MIP counts the schedules its per-stage-count seeding
+    // scores, summed in stage order after the sweep joins, so the
+    // counter does not depend on the worker count.
+    ModelDesc model;
+    model.name = "toy";
+    model.seqLen = 512;
+    model.hidden = 1024;
+    model.heads = 8;
+    for (int i = 0; i < 6; ++i) {
+        LayerDesc l;
+        l.name = "l" + std::to_string(i);
+        l.type = LayerType::TransformerBlock;
+        l.paramCount = 100'000'000;
+        l.fwdFlopsPerSample = 3e12;
+        l.actBytesPerSample = 8 * MiB;
+        l.workBytesPerSample = 32 * MiB;
+        model.layers.push_back(l);
+    }
+    Server server = makeCommodityServer({2, 2});
+    CostModel cost(model, server.topo.gpuSpec(0),
+                   TrainConfig{1, 4, true, 0.45, 30e-6});
+
+    double counts[2] = {0.0, 0.0};
+    for (int k = 0; k < 2; ++k) {
+        MetricsRegistry metrics;
+        PlanOptions opts;
+        opts.partition = PartitionAlgo::ExactMip;
+        opts.mip.maxNodes = 20000;
+        opts.mip.threads = k == 0 ? 1 : 4;
+        opts.metrics = &metrics;
+        planMobius(server, cost, opts);
+        const Counter *evaluated =
+            metrics.findCounter("plan.partition.evaluated");
+        ASSERT_NE(evaluated, nullptr);
+        counts[k] = evaluated->value();
+    }
+    EXPECT_GT(counts[0], 0.0);
+    EXPECT_EQ(counts[0], counts[1]);
 }
 
 TEST(Plan, Gpt51bPlansAndRuns)

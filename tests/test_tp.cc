@@ -18,8 +18,8 @@ TEST(TensorParallel, CompletesAndIsDeterministic)
 {
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
-    StepStats a = runTensorParallelStep(server, work.cost());
-    StepStats b = runTensorParallelStep(server, work.cost());
+    StepStats a = runTensorParallelStep(server, work.cost()).stats;
+    StepStats b = runTensorParallelStep(server, work.cost()).stats;
     EXPECT_GT(a.stepTime, 0.0);
     EXPECT_DOUBLE_EQ(a.stepTime, b.stepTime);
 }
@@ -28,7 +28,7 @@ TEST(TensorParallel, SingleGpuDegenerates)
 {
     Server server = makeCommodityServer({1});
     Workload work(gpt3b(), server, 1, 2);
-    StepStats s = runTensorParallelStep(server, work.cost());
+    StepStats s = runTensorParallelStep(server, work.cost()).stats;
     EXPECT_GT(s.stepTime, 0.0);
     // No collectives on one GPU: traffic is just gradient flushes.
     EXPECT_EQ(s.traffic.bytesOf(TrafficKind::Activation), 0u);
@@ -48,8 +48,8 @@ TEST(TensorParallel, CollectiveTrafficScalesWithMicrobatch)
     Server server = makeCommodityServer({2, 2});
     Workload w1(gpt8b(), server, 1);
     Workload w4(gpt8b(), server, 4);
-    StepStats s1 = runTensorParallelStep(server, w1.cost());
-    StepStats s4 = runTensorParallelStep(server, w4.cost());
+    StepStats s1 = runTensorParallelStep(server, w1.cost()).stats;
+    StepStats s4 = runTensorParallelStep(server, w4.cost()).stats;
     Bytes act1 = s1.traffic.bytesOf(TrafficKind::Activation) +
         s1.traffic.bytesOf(TrafficKind::ActivationGrad);
     Bytes act4 = s4.traffic.bytesOf(TrafficKind::Activation) +
@@ -65,7 +65,7 @@ TEST(TensorParallel, MobiusWinsAtLargerBatch)
     Workload work(gpt8b(), server, 8);
     MobiusPlan plan = planMobius(server, work.cost());
     StepStats mob = runMobiusStepEx(server, work.cost(), plan).stats;
-    StepStats tp = runTensorParallelStep(server, work.cost());
+    StepStats tp = runTensorParallelStep(server, work.cost()).stats;
     EXPECT_GT(tp.stepTime, mob.stepTime * 1.2);
 }
 
@@ -73,7 +73,7 @@ TEST(TensorParallel, GradientShardsSumToModel)
 {
     Server server = makeCommodityServer({2, 2});
     Workload work(gpt8b(), server);
-    StepStats s = runTensorParallelStep(server, work.cost());
+    StepStats s = runTensorParallelStep(server, work.cost()).stats;
     Bytes fp16 = work.model().totalParamBytesFp16();
     double ratio =
         static_cast<double>(s.traffic.bytesOf(

@@ -183,95 +183,59 @@ printPhaseTable(RunContext &ctx, const MetricsRegistry &reg,
     }
 }
 
-/**
- * One simulated step's fixed configuration, shared by the baseline
- * run and every what-if ground-truth re-run (which must execute the
- * SAME schedule on perturbed hardware to isolate the counterfactual).
- */
-struct StepSetup
+/** Map --system to the step it runs. */
+StepSystem
+parseSystem(const std::string &name)
 {
-    const Workload *work = nullptr;
-    std::string system;
-    PlanOptions popts;
-    /** When set, Mobius skips planning and executes this plan (the
-     *  baseline plan is held fixed across what-if re-runs). */
-    const MobiusPlan *plan = nullptr;
-};
-
-/**
- * Run one step of @p setup.system on @p ctx. For Mobius, the plan
- * comes from setup.plan when present; otherwise planMobius() runs
- * and, when @p plan_out is non-null, the result is stored there.
- */
-StepStats
-runStep(RunContext &ctx, const StepSetup &setup,
-        std::unique_ptr<MobiusPlan> *plan_out)
-{
-    MOBIUS_PROF_ZONE("sim.step");
-    const Workload &work = *setup.work;
-    if (setup.system == "mobius") {
-        const MobiusPlan *plan = setup.plan;
-        std::unique_ptr<MobiusPlan> owned;
-        if (!plan) {
-            owned = std::make_unique<MobiusPlan>(planMobius(
-                ctx.server(), work.cost(), setup.popts));
-            plan = owned.get();
-            if (MetricsRegistry *m = ctx.activeMetrics()) {
-                m->gauge("plan.profiling_seconds")
-                    .set(plan->profilingSeconds);
-                m->gauge("plan.solve_seconds")
-                    .set(plan->solveSeconds);
-                m->gauge("plan.mapping_seconds")
-                    .set(plan->mappingSeconds);
-                m->gauge("plan.stages").set(plan->stageCount());
-            }
-        }
-        MobiusExecutor exec(ctx, work.cost(), plan->partition,
-                            plan->mapping);
-        StepStats stats = exec.run();
-        if (owned && plan_out)
-            *plan_out = std::move(owned);
-        return stats;
-    }
-    if (setup.system == "deepspeed") {
-        ZeroHeteroExecutor exec(ctx, work.cost());
-        return exec.run();
-    }
-    if (setup.system == "gpipe" || setup.system == "dspipe") {
-        Partition p = balancedComputePartition(
-            work.cost(), ctx.server().topo.numGpus());
-        Mapping m = sequentialMapping(ctx.server().topo,
-                                      ctx.server().topo.numGpus());
-        PipelineExecutor exec(ctx, work.cost(), p, m,
-                              setup.system == "gpipe"
-                                  ? PipelineSchedule::GPipe
-                                  : PipelineSchedule::OneFOneB);
-        return exec.run();
-    }
-    if (setup.system == "tp") {
-        TensorParallelExecutor exec(ctx, work.cost());
-        return exec.run();
-    }
-    fatal("unknown --system '%s'", setup.system.c_str());
+    if (name == "mobius")
+        return StepSystem::Mobius;
+    if (name == "deepspeed")
+        return StepSystem::Zero;
+    if (name == "gpipe")
+        return StepSystem::GPipe;
+    if (name == "dspipe")
+        return StepSystem::OneFOneB;
+    if (name == "tp")
+        return StepSystem::TensorParallel;
+    fatal("unknown --system '%s'", name.c_str());
 }
 
 /**
  * Ground truth for one what-if scenario: re-simulate the step on a
  * copy of @p server with the specs' link capacities rescaled and the
- * engine-rate factors applied, holding the schedule (plan) fixed.
- * @return the re-simulated step time.
+ * engine-rate factors applied, holding the schedule fixed (Mobius
+ * executes the baseline @p plan; re-planning would mix two
+ * counterfactuals). @return the re-simulated step time.
  */
 double
-exactStepTime(const Server &server, const StepSetup &setup,
+exactStepTime(const Server &server, const CostModel &cost,
+              StepSystem system, const MobiusPlan *plan,
               double cpu_adam, const std::vector<WhatIfSpec> &specs)
 {
-    Server perturbed = perturbServer(server, specs);
-    RunPerturbation rp =
-        runPerturbation(specs, server.topo.numGpus());
-    StepSetup s = setup;
-    s.popts.metrics = nullptr; // keep the main registry pristine
-    RunContext ctx(perturbed, {}, cpu_adam, nullptr, rp);
-    return runStep(ctx, s, nullptr).stepTime;
+    MOBIUS_PROF_ZONE("sim.step");
+    const Server perturbed = perturbServer(server, specs);
+    StepRunOptions opts;
+    opts.cpuAdamThroughput = cpu_adam;
+    opts.perturb = runPerturbation(specs, server.topo.numGpus());
+    switch (system) {
+      case StepSystem::Mobius:
+        return runMobiusStepEx(perturbed, cost, *plan, opts)
+            .stats.stepTime;
+      case StepSystem::Zero:
+        return runZeroStepEx(perturbed, cost, opts).stats.stepTime;
+      case StepSystem::GPipe:
+      case StepSystem::OneFOneB:
+        return runPipelineStep(perturbed, cost,
+                               system == StepSystem::GPipe
+                                   ? PipelineSchedule::GPipe
+                                   : PipelineSchedule::OneFOneB,
+                               opts)
+            .stats.stepTime;
+      case StepSystem::TensorParallel:
+        return runTensorParallelStep(perturbed, cost, opts)
+            .stats.stepTime;
+    }
+    panic("unknown step system");
 }
 
 /** Record one what-if result into the metrics registry. */
@@ -307,7 +271,7 @@ main(int argc, char **argv)
         Workload work(model, server, args.getInt("mbs", -1),
                       args.getInt("microbatches", -1));
 
-        std::string system = args.get("system", "mobius");
+        std::string system_name = args.get("system", "mobius");
         double cpu_adam = args.getDouble("cpu-adam", 0.0);
         bool json = args.has("json");
         std::string trace_file = args.get("trace", "");
@@ -323,23 +287,21 @@ main(int argc, char **argv)
             args.getIntIn("explain-top", 10, 1, 1000000);
         int steps = args.getIntIn("steps", 0, 0, 1000000000);
 
-        StepSetup setup;
-        setup.work = &work;
-        setup.system = system;
+        PlanOptions popts;
         std::string part = args.get("partition", "mip");
-        setup.popts.partition = part == "mip" ? PartitionAlgo::Mip
+        popts.partition = part == "mip" ? PartitionAlgo::Mip
             : part == "exact" ? PartitionAlgo::ExactMip
             : part == "min"   ? PartitionAlgo::MinStage
             : part == "max"   ? PartitionAlgo::MaxStage
             : (fatal("unknown --partition '%s'", part.c_str()),
                PartitionAlgo::Mip);
-        setup.popts.mip.maxNodes = static_cast<std::uint64_t>(
+        popts.mip.maxNodes = static_cast<std::uint64_t>(
             args.getInt("mip-max-nodes", 200000));
-        setup.popts.mip.timeLimitSeconds =
+        popts.mip.timeLimitSeconds =
             args.getDouble("mip-time-limit", 0.0);
-        setup.popts.mip.threads = args.getInt("mip-threads", 1);
+        popts.mip.threads = args.getInt("mip-threads", 1);
         std::string mapping = args.get("mapping", "cross");
-        setup.popts.mapping = mapping == "cross"
+        popts.mapping = mapping == "cross"
             ? MappingAlgo::Cross
             : mapping == "seq" ? MappingAlgo::Sequential
             : (fatal("unknown --mapping '%s'", mapping.c_str()),
@@ -376,11 +338,12 @@ main(int argc, char **argv)
         std::uint64_t fault_seed = static_cast<std::uint64_t>(
             args.getInt("fault-seed", 1));
         args.rejectUnused();
+        const StepSystem system = parseSystem(system_name);
 
         RunManifest manifest;
         manifest.model = model.name;
         manifest.topo = dc ? "dc" : topo;
-        manifest.system = system;
+        manifest.system = system_name;
         manifest.partition = part;
         manifest.mapping = mapping;
         manifest.microbatchSize = work.train().microbatchSize;
@@ -391,10 +354,14 @@ main(int argc, char **argv)
 
         MetricsRegistry registry;
         // plan.mip.* / plan.mapping.* / solver.lp.*
-        setup.popts.metrics = &registry;
-        RunContext ctx(server, {}, cpu_adam, &registry, {},
-                       fault_plan.empty() ? nullptr : &fault_plan,
-                       fault_seed);
+        popts.metrics = &registry;
+        // Own the context (rather than call a step entry point) so
+        // the sampler can ride the live queue and the phase table
+        // can read the usage tracker after the run.
+        RunContext ctx(server, {.cpuAdamThroughput = cpu_adam,
+                                .metrics = &registry,
+                                .faults = &fault_plan,
+                                .faultSeed = fault_seed});
         if (!fault_plan.empty() && !json)
             std::printf("faults: %s (seed %llu)\n",
                         faultPlanSummary(fault_plan).c_str(),
@@ -413,18 +380,30 @@ main(int argc, char **argv)
         std::unique_ptr<MobiusPlan> plan;
         if (prof_on)
             prof::setEnabled(true);
-        StepStats stats = runStep(ctx, setup, &plan);
-        std::string plan_json = plan ? planToJson(*plan) : "";
-        // What-if re-runs execute the baseline plan on perturbed
-        // hardware; re-planning would mix two counterfactuals.
-        setup.plan = plan.get();
+        StepStats stats;
+        {
+            MOBIUS_PROF_ZONE("sim.step");
+            if (system == StepSystem::Mobius) {
+                plan = std::make_unique<MobiusPlan>(
+                    planMobius(server, work.cost(), popts));
+                registry.gauge("plan.profiling_seconds")
+                    .set(plan->profilingSeconds);
+                registry.gauge("plan.solve_seconds")
+                    .set(plan->solveSeconds);
+                registry.gauge("plan.mapping_seconds")
+                    .set(plan->mappingSeconds);
+                registry.gauge("plan.stages").set(plan->stageCount());
+            }
+            stats = runStep(ctx, work.cost(), system, plan.get());
+        }
 
         std::vector<WhatIfResult> whatif_results;
         if (!whatif_specs.empty()) {
             WhatIfResult r =
                 evaluateWhatIf(ctx.trace(), server, whatif_specs);
             if (whatif_exact)
-                r.exact = exactStepTime(server, setup, cpu_adam,
+                r.exact = exactStepTime(server, work.cost(), system,
+                                        plan.get(), cpu_adam,
                                         whatif_specs);
             recordWhatIfMetrics(registry, r);
             whatif_results.push_back(std::move(r));
@@ -435,8 +414,9 @@ main(int argc, char **argv)
                                 sweep_spec);
             if (whatif_exact) {
                 for (WhatIfResult &p : sweep.points)
-                    p.exact = exactStepTime(server, setup, cpu_adam,
-                                            p.specs);
+                    p.exact = exactStepTime(server, work.cost(),
+                                            system, plan.get(),
+                                            cpu_adam, p.specs);
             }
             registry.gauge("whatif.sweep.sensitivity")
                 .set(sweep.sensitivity());
@@ -463,8 +443,8 @@ main(int argc, char **argv)
                         json::escape(model.name).c_str(),
                         manifestToJson(manifest).c_str(),
                         stepStatsToJson(stats, p32).c_str());
-            if (!plan_json.empty())
-                std::printf(",\"plan\":%s", plan_json.c_str());
+            if (plan)
+                std::printf(",\"plan\":%s", planToJson(*plan).c_str());
             if (explain || explain_json)
                 std::printf(",\"attribution\":%s",
                             attributionToJson(attrib, explain_top)
@@ -504,9 +484,8 @@ main(int argc, char **argv)
                         stats.trafficRatio(p32));
             std::printf("exposed comm    : %.1f%%\n",
                         100 * stats.exposedCommFraction());
-            if (ctx.faults()) {
-                const FaultCounters &fc =
-                    ctx.faults()->counters();
+            if (!fault_plan.empty()) {
+                const FaultCounters &fc = stats.faults;
                 std::printf(
                     "faults          : %llu failed xfers, "
                     "%llu retries, %llu crashes, %llu ckpts "
