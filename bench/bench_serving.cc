@@ -329,14 +329,14 @@ main(int argc, char **argv)
         const bool faults_ok =
             hurt.completed ==
                 static_cast<std::uint64_t>(reqs_per_load) &&
-            hurt.faultFailures > 0 &&
+            hurt.faults.failures > 0 &&
             hurt.e2eP99 >= midpt.mobius.e2eP99 &&
             hurt.worstSumDrift <= kMaxSumDrift;
         std::printf("\n  %llu transfer failures, %llu retries: "
                     "p99 %.1fs (clean %.1fs), slo%% %.0f "
                     "(clean %.0f)\n",
-                    (unsigned long long)hurt.faultFailures,
-                    (unsigned long long)hurt.faultRetries,
+                    (unsigned long long)hurt.faults.failures,
+                    (unsigned long long)hurt.faults.retries,
                     hurt.e2eP99, midpt.mobius.e2eP99,
                     100.0 * hurt.sloAttainment,
                     100.0 * midpt.mobius.sloAttainment);
@@ -442,8 +442,8 @@ main(int argc, char **argv)
             ",\n  \"serve_fault_failures\": %llu"
             ",\n  \"serve_fault_retries\": %llu"
             ",\n  \"serve_faulted_p99\": %.17g",
-            (unsigned long long)hurt.faultFailures,
-            (unsigned long long)hurt.faultRetries, hurt.e2eP99);
+            (unsigned long long)hurt.faults.failures,
+            (unsigned long long)hurt.faults.retries, hurt.e2eP99);
         json += strfmt(",\n  \"serve_worst_sum_drift\": %.17g",
                        worst_drift);
         json += strfmt(

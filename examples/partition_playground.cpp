@@ -2,18 +2,10 @@
  * @file
  * Partition playground: inspect what the partition algorithms
  * (§3.2, §4.3) produce for a custom GPT-like model, with the Eq. 3
- * objective and the executed step time side by side. The exact-MIP
- * row runs the faithful Eq. 3-11 branch-and-bound, which requires a
- * uniform layer stack; on models with distinct embedding/head layers
- * it reports why it cannot run instead of a partition.
+ * objective and the executed step time side by side.
  *
  * Usage: partition_playground [hidden] [blocks] [microbatch] [gpus]
- *                             [mip-max-nodes] [mip-threads]
- * e.g.:  partition_playground 4096 40 2 4 50000 0
- *
- * The last two arguments budget the exact Eq. 3-11 branch-and-bound
- * row: node limit per stage count (default 50000) and stage-sweep
- * worker threads (0 = one per core, default 1).
+ * e.g.:  partition_playground 4096 40 2 4
  */
 
 #include <cstdio>
@@ -32,16 +24,12 @@ main(int argc, char **argv)
     cfg.numBlocks = argc > 2 ? std::atoi(argv[2]) : 40;
     cfg.microbatchSize = argc > 3 ? std::atoi(argv[3]) : 2;
     int gpus = argc > 4 ? std::atoi(argv[4]) : 4;
-    int mip_max_nodes = argc > 5 ? std::atoi(argv[5]) : 50000;
-    int mip_threads = argc > 6 ? std::atoi(argv[6]) : 1;
     cfg.heads = cfg.hidden / 128;
     if (cfg.hidden <= 0 || cfg.numBlocks <= 0 ||
-        cfg.microbatchSize <= 0 || gpus <= 0 || cfg.heads <= 0 ||
-        mip_max_nodes <= 0 || mip_threads < 0) {
+        cfg.microbatchSize <= 0 || gpus <= 0 || cfg.heads <= 0) {
         std::fprintf(stderr,
                      "usage: %s [hidden] [blocks] [microbatch] "
-                     "[gpus] [mip-max-nodes] [mip-threads]\n",
-                     argv[0]);
+                     "[gpus]\n", argv[0]);
         return 1;
     }
 
@@ -70,14 +58,10 @@ main(int argc, char **argv)
     };
     for (const Algo &a :
          {Algo{"MIP", PartitionAlgo::Mip},
-          Algo{"exact MIP", PartitionAlgo::ExactMip},
           Algo{"maximum-stage", PartitionAlgo::MaxStage},
           Algo{"minimum-stage", PartitionAlgo::MinStage}}) {
         PlanOptions opts;
         opts.partition = a.algo;
-        opts.mip.maxNodes =
-            static_cast<std::uint64_t>(mip_max_nodes);
-        opts.mip.threads = mip_threads;
         try {
             MobiusPlan plan = planMobius(server, work.cost(), opts);
             StepStats run =

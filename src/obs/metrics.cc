@@ -328,7 +328,6 @@ exportProfSnapshot(const prof::Snapshot &snap,
             .add(static_cast<double>(z.count));
         registry.gauge(key + ".wall_seconds").set(z.wallTotal);
         registry.gauge(key + ".self_seconds").set(z.wallSelf);
-        registry.gauge(key + ".cpu_seconds").set(z.cpuTotal);
     }
     registry.gauge("prof.threads")
         .set(static_cast<double>(snap.threads));

@@ -273,7 +273,6 @@ double exactQuantile(std::vector<double> values, double q);
  *  - counter `prof.<path>.calls`
  *  - gauge   `prof.<path>.wall_seconds`  (inclusive)
  *  - gauge   `prof.<path>.self_seconds`  (exclusive wall)
- *  - gauge   `prof.<path>.cpu_seconds`   (inclusive thread CPU)
  *
  * plus `prof.threads` and `prof.wall_total_seconds` roll-ups.
  */

@@ -23,19 +23,10 @@ realWallNow()
     return double(ts.tv_sec) + 1e-9 * double(ts.tv_nsec);
 }
 
-double
-realCpuNow()
-{
-    timespec ts;
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return double(ts.tv_sec) + 1e-9 * double(ts.tv_nsec);
-}
-
-// Test-injectable clocks; nullptr means "real clock". Plain pointers
+// Test-injectable clock; nullptr means "real clock". A plain pointer
 // behind the registry mutex for writes, read on the hot path without
-// synchronisation — tests only swap them while no zone is running.
+// synchronisation — tests only swap it while no zone is running.
 ClockFn g_wall_fn = nullptr;
-ClockFn g_cpu_fn = nullptr;
 
 double
 wallClock()
@@ -44,25 +35,12 @@ wallClock()
     return fn ? fn() : realWallNow();
 }
 
-double
-cpuClock()
-{
-    ClockFn fn = g_cpu_fn;
-    return fn ? fn() : realCpuNow();
-}
-
 } // namespace
 
 double
 wallNow()
 {
     return realWallNow();
-}
-
-double
-cpuNow()
-{
-    return realCpuNow();
 }
 
 namespace detail
@@ -81,7 +59,6 @@ struct Node
     int nextSibling = -1;
     std::uint64_t count = 0;
     double wall = 0.0;
-    double cpu = 0.0;
     double wallMax = 0.0;
 };
 
@@ -89,7 +66,6 @@ struct Frame
 {
     int node;
     double wall0;
-    double cpu0;
 };
 
 struct ThreadState
@@ -170,27 +146,23 @@ enter(ThreadState &ts, int site_id)
             ts.nodes[ts.current].firstChild = node;
     }
     ts.current = node;
-    // Stamp clocks last so bookkeeping above is excluded from the
-    // zone's own measured time.
-    ts.stack.push_back({node, 0.0, 0.0});
-    Frame &f = ts.stack.back();
-    f.cpu0 = cpuClock();
-    f.wall0 = wallClock();
+    // Stamp the clock last so bookkeeping above is excluded from
+    // the zone's own measured time.
+    ts.stack.push_back({node, 0.0});
+    ts.stack.back().wall0 = wallClock();
 }
 
 void
 leave(ThreadState &ts)
 {
-    // Stamp clocks first: everything below is merge bookkeeping.
+    // Stamp the clock first: everything below is merge bookkeeping.
     const double wall1 = wallClock();
-    const double cpu1 = cpuClock();
     const Frame f = ts.stack.back();
     ts.stack.pop_back();
     Node &n = ts.nodes[f.node];
     const double dw = wall1 - f.wall0;
     n.count += 1;
     n.wall += dw;
-    n.cpu += cpu1 - f.cpu0;
     n.wallMax = std::max(n.wallMax, dw);
     ts.current = n.parent;
 }
@@ -236,12 +208,11 @@ threadCount()
 }
 
 void
-setClocksForTest(ClockFn wall, ClockFn cpu)
+setClockForTest(ClockFn wall)
 {
     detail::Registry &r = detail::registry();
     std::lock_guard<std::mutex> lock(r.mu);
     g_wall_fn = wall;
-    g_cpu_fn = cpu;
 }
 
 namespace
@@ -254,7 +225,6 @@ struct MergeNode
 {
     std::uint64_t count = 0;
     double wall = 0.0;
-    double cpu = 0.0;
     double wallMax = 0.0;
     std::map<std::string, MergeNode> children;
 };
@@ -271,7 +241,6 @@ mergeThreadNodes(const detail::ThreadState &ts,
         MergeNode &m = out[sites[size_t(n.site)]];
         m.count += n.count;
         m.wall += n.wall;
-        m.cpu += n.cpu;
         m.wallMax = std::max(m.wallMax, n.wallMax);
         mergeThreadNodes(ts, sites, n.firstChild, m.children);
     }
@@ -289,17 +258,13 @@ flatten(const std::map<std::string, MergeNode> &level,
         z.depth = depth;
         z.count = m.count;
         z.wallTotal = m.wall;
-        z.cpuTotal = m.cpu;
         z.wallMax = m.wallMax;
         double child_wall = 0.0;
-        double child_cpu = 0.0;
         for (const auto &[cn, cm] : m.children) {
             (void)cn;
             child_wall += cm.wall;
-            child_cpu += cm.cpu;
         }
         z.wallSelf = m.wall - child_wall;
-        z.cpuSelf = m.cpu - child_cpu;
         // Keep a copy: the recursion grows `out`, which would leave
         // a reference into the vector dangling on reallocation.
         std::string child_prefix = z.path;
@@ -361,17 +326,16 @@ table(const Snapshot &snap)
     if (snap.zones.empty())
         return "prof: no zones recorded (run with profiling "
                "enabled?)\n";
-    out += strfmt("%-34s %10s %12s %12s %12s %12s\n", "zone",
-                  "calls", "wall ms", "self ms", "cpu-self ms",
-                  "max us");
+    out += strfmt("%-34s %10s %12s %12s %12s\n", "zone", "calls",
+                  "wall ms", "self ms", "max us");
     for (const ZoneStats &z : snap.zones) {
         std::string label(size_t(2 * z.depth), ' ');
         label += z.name;
-        out += strfmt("%-34s %10llu %12.3f %12.3f %12.3f %12.1f\n",
+        out += strfmt("%-34s %10llu %12.3f %12.3f %12.1f\n",
                       label.c_str(),
                       (unsigned long long)z.count,
                       z.wallTotal * 1e3, z.wallSelf * 1e3,
-                      z.cpuSelf * 1e3, z.wallMax * 1e6);
+                      z.wallMax * 1e6);
     }
     // No thread count here: the merged table stays byte-identical
     // across JobPump widths (prof.threads carries the count).

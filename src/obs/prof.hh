@@ -1,7 +1,7 @@
 /**
  * @file
- * Host self-profiler: scoped wall/CPU-time zones over the
- * *simulator's own* hot paths.
+ * Host self-profiler: scoped wall-time zones over the *simulator's
+ * own* hot paths.
  *
  * Everything else in src/obs observes the simulated workload; this
  * profiler observes the process running the simulation, answering
@@ -14,9 +14,13 @@
  * Model: a **zone** is a lexical scope opened with
  * MOBIUS_PROF_ZONE("name"). Zones nest, forming a per-thread calling
  * -context tree; each tree node accumulates call count, total wall
- * seconds, total thread-CPU seconds, and the maximum wall seconds of
- * any single call. *Self* time (total minus the totals of nested
- * child zones) is derived at snapshot time, so for every snapshot
+ * seconds and the maximum wall seconds of any single call. A zone
+ * reads one clock, CLOCK_MONOTONIC (served by the vDSO, no
+ * syscall). There is no per-zone CPU column: a thread-CPU clock is
+ * a syscall on every read and, at these zone lengths, reports more
+ * CPU than wall time; process CPU stays with the benches' own
+ * gates. *Self* time (total minus the totals of nested child zones)
+ * is derived at snapshot time, so for every snapshot
  * the self times of all zones sum exactly (same-order floating-point
  * arithmetic, drift ~1e-15 relative) to the total of the root zones
  * — the invariant bench_simcore's prof smoke gates at 1e-9.
@@ -28,17 +32,18 @@
  * siblings — so the merged output is deterministic for a
  * deterministic workload, and byte-identical across JobPump widths
  * when durations are (tests install a deterministic clock via
- * setClocksForTest()).
+ * setClockForTest()).
  *
  * Cost: when disabled (the default), a zone entry is one relaxed
  * atomic load and no allocation — cheap enough to leave compiled
  * into the EventQueue drain, the fair-share solver, the span arena,
  * and the LP/MIP solvers permanently. When enabled, a zone pair
- * costs two wall + two thread-CPU clock reads (~0.5us on commodity
- * hosts); instrumentation sites are chosen so a fully profiled
- * simulation stays within the <= 5% CPU overhead budget gated by
- * bench_simcore (per-pivot and per-event granularity is deliberately
- * avoided; those counts are already in solver.lp.* / queue metrics).
+ * costs two CLOCK_MONOTONIC reads plus the tree bookkeeping, about
+ * 0.1 us on a 4-core x86-64 host; instrumentation sites are chosen
+ * so a fully profiled simulation stays within the <= 5% CPU
+ * overhead budget gated by bench_simcore (per-pivot and per-event
+ * granularity is deliberately avoided; those counts are already in
+ * solver.lp.* / queue metrics).
  *
  * Renderers: table() (self-time table), folded() (flamegraph.pl
  * folded-stack lines), and exportProfSnapshot() in obs/metrics.hh
@@ -65,9 +70,6 @@ namespace mobius::prof
 /** @return monotonic wall-clock seconds (CLOCK_MONOTONIC). */
 double wallNow();
 
-/** @return this thread's CPU seconds (CLOCK_THREAD_CPUTIME_ID). */
-double cpuNow();
-
 /** Enable or disable zone collection process-wide. */
 void setEnabled(bool on);
 
@@ -92,8 +94,6 @@ struct ZoneStats
     std::uint64_t count = 0; //!< completed calls
     double wallTotal = 0.0;  //!< inclusive wall seconds
     double wallSelf = 0.0;   //!< wallTotal minus children's totals
-    double cpuTotal = 0.0;   //!< inclusive thread-CPU seconds
-    double cpuSelf = 0.0;    //!< cpuTotal minus children's totals
     double wallMax = 0.0;    //!< slowest single call, wall seconds
 };
 
@@ -128,7 +128,7 @@ Snapshot snapshot();
 
 /**
  * Render the self-time table: one row per zone path (tree-indented),
- * columns calls / total / self / cpu / cpu-self / max, sorted
+ * columns calls / wall / self / max, sorted
  * depth-first with name-sorted siblings, footer with the root total
  * and the self-sum drift. Deterministic for deterministic inputs.
  */
@@ -145,12 +145,12 @@ std::string folded(const Snapshot &snap);
 using ClockFn = double (*)();
 
 /**
- * Replace the wall and CPU clocks (nullptr restores the real
- * clocks). Tests install deterministic thread-local counters so
- * zone durations — and therefore the whole merged table — are
- * byte-identical at any thread width.
+ * Replace the zone clock (nullptr restores CLOCK_MONOTONIC). Tests
+ * install a deterministic thread-local counter so zone durations —
+ * and therefore the whole merged table — are byte-identical at any
+ * thread width.
  */
-void setClocksForTest(ClockFn wall, ClockFn cpu);
+void setClockForTest(ClockFn wall);
 
 namespace detail
 {
@@ -163,10 +163,10 @@ struct ThreadState;
 /** @return this thread's state, registering it on first use. */
 ThreadState &threadState();
 
-/** Open a zone for @p site_id on @p ts (clocks stamped last). */
+/** Open a zone for @p site_id on @p ts (clock stamped last). */
 void enter(ThreadState &ts, int site_id);
 
-/** Close the innermost zone on @p ts (clocks stamped first). */
+/** Close the innermost zone on @p ts (clock stamped first). */
 void leave(ThreadState &ts);
 
 /** Intern @p name into the global site table. */

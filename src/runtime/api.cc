@@ -53,20 +53,6 @@ planMobius(const Server &server, const CostModel &cost,
       case PartitionAlgo::Mip:
         part = mipPartition(eval);
         break;
-      case PartitionAlgo::ExactMip: {
-        // Sweep every stage count up to one layer per stage.
-        ExactMipResult exact = exactMipPartition(
-            eval, cost.numLayers(), opts.mip, opts.metrics);
-        if (!exact.solved) {
-            fatal("exact MIP partition found no feasible partition "
-                  "within its node/time budget");
-        }
-        part.partition = std::move(exact.partition);
-        part.estimate = eval.evaluate(part.partition);
-        part.solveSeconds = exact.wallSeconds;
-        part.evaluated = exact.evaluated;
-        break;
-      }
       case PartitionAlgo::MinStage:
         part = minStagePartition(eval);
         break;
@@ -78,7 +64,6 @@ planMobius(const Server &server, const CostModel &cost,
         const char *name = "MIP";
         switch (opts.partition) {
           case PartitionAlgo::Mip:      name = "MIP"; break;
-          case PartitionAlgo::ExactMip: name = "exact-MIP"; break;
           case PartitionAlgo::MinStage: name = "minimum-stage"; break;
           case PartitionAlgo::MaxStage: name = "maximum-stage"; break;
         }

@@ -30,7 +30,6 @@
 #include "hw/server.hh"
 #include "plan/mapping.hh"
 #include "plan/partition_algos.hh"
-#include "plan/partition_mip.hh"
 #include "profile/profiler.hh"
 #include "runtime/mobius_executor.hh"
 #include "runtime/pipeline_executor.hh"
@@ -75,7 +74,6 @@ class Workload
 enum class PartitionAlgo
 {
     Mip,       //!< scalable heuristic search (default)
-    ExactMip,  //!< faithful Eq. 3-11 branch-and-bound
     MinStage,  //!< one transformer block per stage
     MaxStage,  //!< as many layers per stage as memory allows
 };
@@ -88,13 +86,9 @@ struct PlanOptions
 {
     PartitionAlgo partition = PartitionAlgo::Mip;
     MappingAlgo mapping = MappingAlgo::Cross;
-    /** Branch-and-bound budget and stage-sweep thread count, used
-     * when partition == PartitionAlgo::ExactMip. */
-    MipOptions mip;
-    /** Optional registry for plan.mip.* / solver.lp.* metrics from
-     * the exact MIP solve, the plan.partition.evaluated count of the
-     * other partition algorithms and the plan.mapping.evaluated
-     * count of cross mapping; null or disabled = no recording. */
+    /** Optional registry for the plan.partition.evaluated count of
+     * the partition algorithm and the plan.mapping.evaluated count
+     * of cross mapping; null or disabled = no recording. */
     MetricsRegistry *metrics = nullptr;
 };
 

@@ -548,7 +548,6 @@ struct ServeSim::Impl
         }
 
         iterActive = false;
-        batcher.onIterationEnd();
         maybeStartIteration();
     }
 
@@ -846,12 +845,8 @@ struct ServeSim::Impl
         if (iterations > 0)
             m.avgOccupancy =
                 occupancySum / static_cast<double>(iterations);
-        if (ctx.faults()) {
-            const FaultCounters &fc = ctx.faults()->counters();
-            m.faultFailures = fc.failures;
-            m.faultRetries = fc.retries;
-            m.faultCrashes = fc.crashes;
-        }
+        if (ctx.faults())
+            m.faults = ctx.faults()->counters();
         exportMetrics(m);
         return m;
     }

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "base/units.hh"
+#include "fault/fault_injector.hh"
 #include "serve/request.hh"
 
 namespace mobius
@@ -76,9 +77,8 @@ struct ServeMetrics
     std::uint64_t switches = 0;    //!< adaptive placement switches
     std::uint64_t admissions = 0;  //!< requests admitted to batches
 
-    std::uint64_t faultFailures = 0; //!< injected transfer failures
-    std::uint64_t faultRetries = 0;  //!< retries issued
-    std::uint64_t faultCrashes = 0;  //!< GPU crash events
+    /** The injector's counters (all zero without a fault plan). */
+    FaultCounters faults;
 
     /** FNV-1a digest of every per-request record, in id order. */
     std::uint64_t fingerprint = 0;

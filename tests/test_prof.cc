@@ -72,11 +72,10 @@ namespace
 
 using namespace mobius;
 
-// Deterministic clocks: each read advances a thread-local counter by
+// Deterministic clock: each read advances a thread-local counter by
 // an exactly-representable step, so zone durations are fixed deltas
 // that do not depend on thread start offsets or scheduling.
 thread_local double t_wall = 0.0;
-thread_local double t_cpu = 0.0;
 
 double
 fakeWall()
@@ -85,28 +84,22 @@ fakeWall()
     return t_wall;
 }
 
-double
-fakeCpu()
-{
-    t_cpu += 0.25;
-    return t_cpu;
-}
-
-/** Reset the profiler, install fake clocks, enable; undo on exit. */
+/** Reset the profiler, install the fake clock, enable; undo on exit. */
 class ProfSandbox
 {
   public:
     ProfSandbox()
     {
         prof::reset();
-        prof::setClocksForTest(fakeWall, fakeCpu);
+        t_wall = 0.0;
+        prof::setClockForTest(fakeWall);
         prof::setEnabled(true);
     }
 
     ~ProfSandbox()
     {
         prof::setEnabled(false);
-        prof::setClocksForTest(nullptr, nullptr);
+        prof::setClockForTest(nullptr);
         prof::reset();
     }
 };
@@ -154,12 +147,8 @@ TEST(Prof, NestedSelfTimesSumExactly)
     EXPECT_EQ(c.wallSelf, c.wallTotal);
     EXPECT_EQ(a.wallMax, 7.0);
     EXPECT_EQ(b.wallMax, 1.0);
-
-    // CPU reads advance by exactly 0.25.
-    EXPECT_EQ(a.cpuTotal, 1.75);
-    EXPECT_EQ(b.cpuTotal, 0.5);
-    EXPECT_EQ(c.cpuTotal, 0.25);
-    EXPECT_EQ(a.cpuSelf, 1.0);
+    // One clock read per enter and one per leave: 4 pairs, 8 reads.
+    EXPECT_EQ(t_wall, 8.0);
 
     // The headline invariant: self times sum exactly to the root
     // total (identical floating-point order, zero drift here).
@@ -262,6 +251,8 @@ TEST(Prof, MetricsExportCarriesZonesAndRollups)
               3.0);
     EXPECT_EQ(registry.gauge("prof.t.export.self_seconds").value(),
               2.0);
+    // Zones read one wall clock: no CPU figure is exported.
+    EXPECT_EQ(registry.findGauge("prof.t.export.cpu_seconds"), nullptr);
     EXPECT_EQ(registry.gauge("prof.threads").value(), 1.0);
     EXPECT_EQ(registry.gauge("prof.wall_total_seconds").value(), 3.0);
 }

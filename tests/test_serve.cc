@@ -122,7 +122,6 @@ TEST(ServeSim, FifoAdmissionNoStarvation)
 {
     ServeOptions opts = smallOptions();
     opts.batch.maxBatch = 2; // force a backlog
-    opts.batch.minBatch = 1;
     ServeSim sim(opts);
     sim.submitOpenLoop(proto(), 16, {{50.0, 1.0}}, 3);
     sim.run();
@@ -341,10 +340,41 @@ TEST(ServeSim, FaultsDegradeServiceButAccountingHolds)
     const ServeMetrics hurt = faulty.run();
 
     EXPECT_EQ(hurt.completed, 10u);
-    EXPECT_GT(hurt.faultFailures, 0u);
-    EXPECT_GE(hurt.faultRetries, hurt.faultFailures);
+    EXPECT_GT(hurt.faults.failures, 0u);
+    EXPECT_GE(hurt.faults.retries, hurt.faults.failures);
     EXPECT_LE(hurt.worstSumDrift, 1e-9);
     // Retried transfers stretch iterations: tail latency suffers.
     EXPECT_GE(hurt.e2eP99, base.e2eP99);
     EXPECT_GT(hurt.stallSeconds, base.stallSeconds);
+}
+
+TEST(ServeSim, MetricsCarryTheWholeFaultCounters)
+{
+    // ServeMetrics::faults is the injector's FaultCounters, not a
+    // field-by-field copy: checkpoints and seconds() come along.
+    ServeOptions opts = smallOptions();
+    opts.faults.xfailProb = 0.05;
+    opts.faults.retryBudget = 16;
+    opts.faults.checkpointInterval = 0.5;
+    opts.faults.checkpointCost = 0.01;
+    opts.faultSeed = 4;
+    ServeSim sim(opts);
+    sim.submitOpenLoop(proto(), 10, {{3.0, 1.0}}, 8);
+    const ServeMetrics m = sim.run();
+
+    ASSERT_NE(sim.ctx().faults(), nullptr);
+    const FaultCounters &fc = sim.ctx().faults()->counters();
+    EXPECT_GT(m.faults.failures, 0u);
+    EXPECT_GT(m.faults.checkpoints, 0u);
+    EXPECT_EQ(m.faults.failures, fc.failures);
+    EXPECT_EQ(m.faults.retries, fc.retries);
+    EXPECT_EQ(m.faults.crashes, fc.crashes);
+    EXPECT_EQ(m.faults.checkpoints, fc.checkpoints);
+    EXPECT_EQ(m.faults.windows, fc.windows);
+    EXPECT_EQ(m.faults.flaps, fc.flaps);
+    EXPECT_EQ(m.faults.backoffSeconds, fc.backoffSeconds);
+    EXPECT_EQ(m.faults.lostSeconds, fc.lostSeconds);
+    EXPECT_EQ(m.faults.recoverySeconds, fc.recoverySeconds);
+    EXPECT_EQ(m.faults.checkpointSeconds, fc.checkpointSeconds);
+    EXPECT_EQ(m.faults.seconds(), fc.seconds());
 }

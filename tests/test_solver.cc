@@ -441,7 +441,7 @@ TEST(MipPartition, ThreadCountDoesNotChangeResult)
 {
     // The parallel stage-count sweep must reduce deterministically:
     // any worker count returns the bit-identical partition, node
-    // count and objective.
+    // count, seeding-evaluation count and objective.
     ToyEnv env(8, 2, 2, 4 * GiB);
     MipOptions base;
     base.maxNodes = 60000;
@@ -450,6 +450,7 @@ TEST(MipPartition, ThreadCountDoesNotChangeResult)
     one.threads = 1;
     auto r1 = exactMipPartition(env.eval, 4, one);
     ASSERT_TRUE(r1.solved);
+    EXPECT_GT(r1.evaluated, 0);
 
     for (int threads : {2, 4}) {
         MipOptions many = base;
@@ -462,6 +463,8 @@ TEST(MipPartition, ThreadCountDoesNotChangeResult)
         EXPECT_EQ(r1.objective, rn.objective)
             << "threads " << threads;
         EXPECT_EQ(r1.nodes, rn.nodes) << "threads " << threads;
+        EXPECT_EQ(r1.evaluated, rn.evaluated)
+            << "threads " << threads;
     }
 }
 

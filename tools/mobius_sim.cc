@@ -19,15 +19,7 @@
  *   --system mobius|deepspeed|gpipe|dspipe|tp   (default mobius)
  *   --mbs N                        microbatch size (default Table 3)
  *   --microbatches N               per step (default = #GPUs)
- *   --partition mip|exact|min|max  (default mip; exact = faithful
- *                                  Eq. 3-11 branch-and-bound, only
- *                                  for uniform layer stacks)
- *   --mip-max-nodes N              exact-MIP node budget per stage
- *                                  count (default 200000)
- *   --mip-time-limit SEC           exact-MIP wall-clock budget per
- *                                  stage count (default unlimited)
- *   --mip-threads N                exact-MIP stage-sweep workers;
- *                                  0 = one per core (default 1)
+ *   --partition mip|min|max        (default mip)
  *   --mapping cross|seq            (default cross)
  *   --cpu-adam PARAMS_PER_SEC      CPU optimizer model (default off)
  *   --steps N                      fine-tuning length estimate
@@ -290,16 +282,10 @@ main(int argc, char **argv)
         PlanOptions popts;
         std::string part = args.get("partition", "mip");
         popts.partition = part == "mip" ? PartitionAlgo::Mip
-            : part == "exact" ? PartitionAlgo::ExactMip
             : part == "min"   ? PartitionAlgo::MinStage
             : part == "max"   ? PartitionAlgo::MaxStage
             : (fatal("unknown --partition '%s'", part.c_str()),
                PartitionAlgo::Mip);
-        popts.mip.maxNodes = static_cast<std::uint64_t>(
-            args.getInt("mip-max-nodes", 200000));
-        popts.mip.timeLimitSeconds =
-            args.getDouble("mip-time-limit", 0.0);
-        popts.mip.threads = args.getInt("mip-threads", 1);
         std::string mapping = args.get("mapping", "cross");
         popts.mapping = mapping == "cross"
             ? MappingAlgo::Cross
