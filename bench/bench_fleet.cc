@@ -37,7 +37,7 @@
  *
  *  4. Timeline tracing overhead + identity. The cached-serial
  *     section-1 fleet reruns with FleetOptions::trace enabled:
- *     recording overhead must stay <= 5% CPU (min of 5
+ *     recording overhead must stay <= 5% CPU (min of 9
  *     interleaved repeats each way; the `fleet.trace.overhead`
  *     scalar), tracing must
  *     not perturb the run (traced and untraced fingerprints
@@ -98,7 +98,7 @@ constexpr double kMinHitRate = 0.90;
 constexpr double kMaxTraceOverhead = 0.05;
 constexpr double kTraceOverheadSlack = 0.02;
 /** Untraced/traced run pairs the overhead gate takes the min over. */
-constexpr int kTraceRepeats = 5;
+constexpr int kTraceRepeats = 9;
 /** Per-job attribution drift bound: |sum(categories) - jct|. */
 constexpr double kMaxAttribDrift = 1e-9;
 
